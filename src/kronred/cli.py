@@ -2,7 +2,7 @@
 
 Verbs: check | solve | reduce | curve | power.  Exit codes: 0 ok,
 1 check failures, 2 usage or parse errors, 3 solver failures,
-4 assumption-certificate failures.  KRONRED_THREADS caps parallelism.
+4 assumption-certificate failures.
 """
 
 from __future__ import annotations

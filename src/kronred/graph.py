@@ -48,8 +48,8 @@ class DirectedGraph:
 
 
 def build_incidence(g: DirectedGraph) -> np.ndarray:
-    """n x m incidence matrix: +1 at each edge's head, -1 at its tail."""
-    d = np.zeros((g.n, g.m), dtype=int)
+    """n x m float incidence matrix: +1 at each edge's head, -1 at its tail."""
+    d = np.zeros((g.n, g.m))
     for j, (ti, hi) in enumerate(g.edge_indices()):
         d[ti, j] = -1
         d[hi, j] = +1

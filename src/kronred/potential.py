@@ -8,10 +8,12 @@ Laplacian D diag(g'(D^T z)) D^T, so K is convex and shift invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GraphStructureError, IntervalError
+from .exprlaw import EdgeLaw, evaluate
 from .graph import DirectedGraph, build_incidence, is_connected
 
 
@@ -30,6 +32,22 @@ class NodePartition:
             raise ValueError("at least one boundary node is required")
 
 
+@dataclass(frozen=True)
+class _LawIndex:
+    """Edge laws arranged for array evaluation.
+
+    ``exprs`` holds one (g, g', edge indices) entry per distinct parsed law,
+    so all edges sharing a law are evaluated by one call; ``others`` holds
+    (edge index, law) for laws evaluated on their own, such as tables.
+    ``lo``/``hi`` are the validity interval ends per edge.
+    """
+
+    exprs: tuple
+    others: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Connected directed graph with one certified monotone law per edge."""
@@ -38,6 +56,20 @@ class Network:
     incidence: np.ndarray
     laws: tuple
     partition: NodePartition
+
+    @cached_property
+    def _law_index(self) -> _LawIndex:
+        groups: dict = {}
+        others = []
+        for j, law in enumerate(self.laws):
+            if isinstance(law, EdgeLaw):
+                groups.setdefault((law.g, law.g_prime), []).append(j)
+            else:
+                others.append((j, law))
+        exprs = tuple((g, gp, np.array(idx)) for (g, gp), idx in groups.items())
+        bounds = np.array([law.validity_interval for law in self.laws], dtype=float)
+        lo, hi = bounds.reshape(-1, 2).T
+        return _LawIndex(exprs, tuple(others), lo, hi)
 
 
 def build_network(graph: DirectedGraph, laws, boundary_ids) -> Network:
@@ -64,23 +96,42 @@ def edge_label(net: Network, j: int) -> str:
     return f"{j} ({tail}->{head})"
 
 
+def _first_violation(net: Network, y: np.ndarray) -> int:
+    """Index of the first edge whose value leaves its validity interval, or -1."""
+    index = net._law_index
+    inside = (index.lo <= y) & (y <= index.hi)  # NaN counts as outside
+    return -1 if inside.all() else int(np.argmin(inside))
+
+
 def edge_voltages(net: Network, z: np.ndarray, check: bool = True) -> np.ndarray:
     """y = D^T z, validated against each law's validity interval."""
     z = np.asarray(z, dtype=float)
     y = net.incidence.T @ z
     if check:
-        for j, law in enumerate(net.laws):
-            if not law.contains(y[j]):
-                raise IntervalError(float(y[j]), law.validity_interval, edge_label(net, j))
+        j = _first_violation(net, y)
+        if j >= 0:
+            raise IntervalError(float(y[j]), net.laws[j].validity_interval, edge_label(net, j))
     return y
 
 
 def _g_vec(net: Network, y: np.ndarray) -> np.ndarray:
-    return np.array([law.g_at(y[j]) for j, law in enumerate(net.laws)], dtype=float)
+    index = net._law_index
+    out = np.empty(len(y))
+    for g, _, idx in index.exprs:
+        out[idx] = evaluate(g, y[idx])
+    for j, law in index.others:
+        out[j] = law.g_at(y[j])
+    return out
 
 
 def _gp_vec(net: Network, y: np.ndarray) -> np.ndarray:
-    return np.array([law.gp_at(y[j]) for j, law in enumerate(net.laws)], dtype=float)
+    index = net._law_index
+    out = np.empty(len(y))
+    for _, gp, idx in index.exprs:
+        out[idx] = evaluate(gp, y[idx])
+    for j, law in index.others:
+        out[j] = law.gp_at(y[j])
+    return out
 
 
 def k_value(net: Network, z: np.ndarray) -> float:
@@ -124,22 +175,3 @@ def power_balance_check(net: Network, z: np.ndarray) -> PowerBalance:
     edge_power = float(y @ currents)
     nodal_power = float(z @ (net.incidence @ currents))
     return PowerBalance(edge_power, nodal_power, abs(edge_power - nodal_power))
-
-
-@dataclass(frozen=True)
-class PotentialEval:
-    z: np.ndarray
-    y: np.ndarray
-    k: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-
-def evaluate(net: Network, z: np.ndarray) -> PotentialEval:
-    z = np.asarray(z, dtype=float)
-    y = edge_voltages(net, z)
-    g = _g_vec(net, y)
-    w = _gp_vec(net, y)
-    d = net.incidence
-    k = float(sum(law.cocontent(float(y[j])) for j, law in enumerate(net.laws)))
-    return PotentialEval(z, y, k, d @ g, (d * w) @ d.T)

@@ -12,8 +12,6 @@ residuals and an integrability diagnostic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,22 +46,6 @@ CONSISTENCY_DI = 1e-7
 MERGE_WINDOW = 1e-7
 ACCEPT_RESIDUAL = 1e-6
 LINEAR_TABLE_SPAN = 4.0
-
-
-def _thread_count() -> int:
-    env = os.environ.get("KRONRED_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _map(fn, items):
-    items = list(items)
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +160,7 @@ class EdgeTable:
 
 def _make_table(y: np.ndarray, current: np.ndarray) -> EdgeTable:
     law = TableLaw(y, current)
-    g = np.array([law.cocontent(v) for v in y])
+    g = law._anti(y) - law._anchor
     return EdgeTable(np.asarray(y, float), np.asarray(current, float), g, law)
 
 
@@ -271,7 +253,7 @@ def infer_reduced_graph(net: Network, plan: SamplingPlan) -> tuple[DirectedGraph
         raise ValueError("need at least 2 samples to certify the support")
     ids = boundary_ids(net)
     samples = plan.boundary_samples(len(ids))
-    hessians = _map(lambda zb: reduced_hessian(net, zb), samples)
+    hessians = [reduced_hessian(net, zb) for zb in samples]
     supports = tuple(_support_of(h) for h in hessians)
     union = sorted(set().union(*supports))
     stable = all(s == supports[0] for s in supports)
@@ -324,7 +306,7 @@ def _pool_edge_samples(ys: np.ndarray, currents: np.ndarray, context: str):
 
 
 def _solved_samples(net: Network, samples: np.ndarray):
-    return _map(lambda zb: solve_interior(net, zb), samples)
+    return [solve_interior(net, zb) for zb in samples]
 
 
 def _exact_edge_currents(dhat: np.ndarray, j_b: np.ndarray) -> np.ndarray:
@@ -399,7 +381,7 @@ def recover_edge_laws_cyclic(
     is accepted when it is small and returned flagged otherwise.  When the
     graph is actually acyclic the fit degenerates to the exact recovery.
     """
-    dhat = build_incidence(reduced_graph).astype(float)
+    dhat = build_incidence(reduced_graph)
     ids = reduced_graph.node_ids
     if is_acyclic(reduced_graph):
         return recover_edge_laws_acyclic(net, reduced_graph, plan, certificate)
@@ -490,15 +472,18 @@ class HoldoutReport:
 def holdout_residual(net: Network, reduced: ReducedNetwork, plan: SamplingPlan,
                      count: int = 50) -> HoldoutReport:
     """Input-output mismatch of the recovered tables on held-out samples."""
-    dhat = build_incidence(reduced.graph).astype(float)
+    dhat = build_incidence(reduced.graph)
     laws = reduced.laws()
     samples = plan.holdout_samples(len(reduced.graph.node_ids), count)
     results = _solved_samples(net, samples)
+    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
+    currents = np.empty_like(ys)
+    for j, law in enumerate(laws):
+        currents[:, j] = law.g_at(ys[:, j])
     worst_abs = 0.0
     worst_rel = 0.0
-    for zb, res in zip(samples, results):
-        yh = dhat.T @ zb
-        pred = dhat @ np.array([laws[j].g_at(yh[j]) for j in range(reduced.graph.m)])
+    for current, res in zip(currents, results):
+        pred = dhat @ current
         gap = float(np.abs(pred - res.j_b).max(initial=0.0))
         scale = 1.0 + float(np.abs(res.j_b).max(initial=0.0))
         worst_abs = max(worst_abs, gap)
@@ -531,7 +516,7 @@ def integrability_diagnostic(
     f = cycles.matrix
     if f.shape[1] == 0:
         return 0.0
-    dhat = build_incidence(reduced_graph).astype(float)
+    dhat = build_incidence(reduced_graph)
     ids = reduced_graph.node_ids
     laws = candidate.laws()
     m_hat = reduced_graph.m

@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import HomogeneityError, IntervalError, SolveError
 from .potential import (
     Network,
+    _first_violation,
     _g_vec,
     _gp_vec,
     dissipated_power,
@@ -49,13 +51,23 @@ def _assemble(net: Network, z_c: np.ndarray, z_b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _feasible_voltages(net: Network, z: np.ndarray):
-    """Return y = D^T z, or (None, offending edge index) if outside a box."""
-    y = net.incidence.T @ z
-    for j, law in enumerate(net.laws):
-        if not law.contains(y[j]):
-            return None, j
-    return y, -1
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U (a = U^T U) of a symmetric positive definite matrix.
+
+    Calls LAPACK directly and factors in place, so ``a`` may be overwritten.  Raises
+    LinAlgError when ``a`` is not positive definite or the factor is not
+    finite (potrf lets NaN through).
+    """
+    u, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)  # a.T: a's storage, Fortran order
+    if info > 0 or not np.isfinite(u.diagonal()).all():
+        raise LinAlgError("matrix is not positive definite")
+    return u
+
+
+def cho_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from the factor U returned by cho_factor."""
+    x, _ = dpotrs(u, b, lower=0)
+    return x
 
 
 def solve_interior(
@@ -82,24 +94,30 @@ def solve_interior(
 
     if not central:
         z = _assemble(net, np.empty(0), z_b)
-        y, bad = _feasible_voltages(net, z)
-        if y is None:
+        y = d.T @ z
+        bad = _first_violation(net, y)
+        if bad >= 0:
             raise SolveError("boundary assignment leaves the validity interval",
                              edge=edge_label(net, bad))
         j_full = d @ _g_vec(net, y)
         return SolveResult(np.empty(0), j_full[boundary], 0, 0.0, True, z)
 
-    z_c = np.full(len(central), float(np.mean(z_b))) if init is None else np.asarray(init, dtype=float)
-    z = _assemble(net, z_c, z_b)
-    y, bad = _feasible_voltages(net, z)
-    if y is None:
+    z_c = np.full(len(central), z_b.sum() / len(z_b)) if init is None else np.asarray(init, dtype=float)
+    y = d.T @ _assemble(net, z_c, z_b)
+    bad = _first_violation(net, y)
+    if bad >= 0:
         raise SolveError("initial iterate outside the validity interval",
                          edge=edge_label(net, bad))
 
     d_c = d[central, :]
+    y_b = d[boundary, :].T @ z_b  # boundary share of the edge values, fixed
 
     def residual(yv):
         return d_c @ _g_vec(net, yv)
+
+    def partial():
+        return SolveResult(z_c, np.full(len(boundary), np.nan), iterations, res_norm, False,
+                           _assemble(net, z_c, z_b))
 
     r = residual(y)
     res_norm = float(np.abs(r).max())
@@ -112,19 +130,15 @@ def solve_interior(
         try:
             factor = cho_factor(h_cc)
         except LinAlgError as exc:
-            raise SolveError(
-                "interior Hessian factorization failed",
-                result=SolveResult(z_c, np.full(len(boundary), np.nan), iterations,
-                                   res_norm, False, z),
-            ) from exc
+            raise SolveError("interior Hessian factorization failed", result=partial()) from exc
         step = -cho_solve(factor, r)
         t = 1.0
         last_bad = -1
         while True:
             trial = z_c + t * step
-            z_trial = _assemble(net, trial, z_b)
-            y_trial, bad = _feasible_voltages(net, z_trial)
-            if y_trial is not None:
+            y_trial = y_b + d_c.T @ trial
+            bad = _first_violation(net, y_trial)
+            if bad < 0:
                 r_trial = residual(y_trial)
                 trial_norm = float(np.abs(r_trial).max())
                 if trial_norm <= (1.0 - ARMIJO_C * t) * res_norm:
@@ -133,16 +147,14 @@ def solve_interior(
                 last_bad = bad
             t *= 0.5
             if t < MIN_STEP:
-                partial = SolveResult(z_c, np.full(len(boundary), np.nan), iterations,
-                                      res_norm, False, z)
                 if last_bad >= 0:
                     raise SolveError(
                         "step cannot stay inside the validity interval",
-                        result=partial,
+                        result=partial(),
                         edge=edge_label(net, last_bad),
                     )
-                raise SolveError("line search failed to reduce the residual", result=partial)
-        z_c, z, y, r, res_norm = trial, z_trial, y_trial, r_trial, trial_norm
+                raise SolveError("line search failed to reduce the residual", result=partial())
+        z_c, y, r, res_norm = trial, y_trial, r_trial, trial_norm
         iterations += 1
         converged = res_norm <= tol
 
@@ -150,11 +162,11 @@ def solve_interior(
         raise SolveError(
             f"no convergence after {max_iter} iterations "
             "(global solvability or validity-interval failure suspected)",
-            result=SolveResult(z_c, np.full(len(boundary), np.nan), iterations,
-                               res_norm, False, z),
+            result=partial(),
         )
     j_full = d @ _g_vec(net, y)
-    return SolveResult(z_c, j_full[boundary], iterations, res_norm, True, z)
+    return SolveResult(z_c, j_full[boundary], iterations, res_norm, True,
+                       _assemble(net, z_c, z_b))
 
 
 def interior_hessian_check(net: Network, z) -> float:
@@ -185,7 +197,11 @@ def sensitivity(net: Network, z_b) -> np.ndarray:
     h = weighted_laplacian(net, result.z_full)
     h_cc = h[np.ix_(central, central)]
     h_cb = h[np.ix_(central, boundary)]
-    return -cho_solve(cho_factor(h_cc), h_cb)
+    try:
+        factor = cho_factor(h_cc)
+    except LinAlgError as exc:
+        raise SolveError("interior Hessian factorization failed") from exc
+    return -cho_solve(factor, h_cb)
 
 
 def reduced_potential(net: Network, z_b) -> float:

@@ -109,6 +109,22 @@ def test_solve_zero_currents_at_constant_boundary(tmp_path, capsys):
             assert abs(float(line.split("=")[1])) < 1e-12
 
 
+def test_solve_non_finite_hessian_exits_3(tmp_path, capsys):
+    # g' of the first law is 0/0 at y = 0, where the first Newton step starts
+    doc = {
+        "nodes": ["0", "1", "2", "3"],
+        "boundary": ["1", "2", "3"],
+        "edges": [
+            {"from": "1", "to": "0", "law": "y + 0.5*sqrt(y^2)", "interval": [-8.0, 8.5]},
+            {"from": "2", "to": "0", "law": "exp(y) - 1"},
+            {"from": "3", "to": "0", "law": "y"},
+        ],
+    }
+    code = main(["solve", write(tmp_path, "net.json", doc), "1=0", "2=-1", "3=1"])
+    assert code == 3
+    assert "factorization failed" in capsys.readouterr().err
+
+
 def test_solve_missing_assignment_is_usage_error(tmp_path, capsys):
     code = main(["solve", write(tmp_path, "net.json", DIODE), "1=1"])
     assert code == 2

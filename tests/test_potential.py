@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronred as kr
-from kronred.errors import IntervalError
-from kronred.potential import evaluate as evaluate_potential
+from kronred.errors import IntervalError, SolveError
+from kronred.potential import _g_vec, _gp_vec, edge_label, edge_voltages
+from kronred.reduction import TableLaw
 
 from conftest import (
     diode_opposite_net,
     finite_difference_gradient,
     finite_difference_jacobian,
     linear_series_net,
+    random_connected_graph,
     random_network,
     simpson_integral,
 )
@@ -181,13 +185,15 @@ def test_orientation_irrelevant_for_quadratic_law():
     assert kr.k_value(net, z) == pytest.approx(kr.k_value(net_flipped, z), abs=1e-12)
 
 
-def test_evaluate_bundles_consistent_pieces(diode_opposite):
+def test_potential_pieces_are_consistent(diode_opposite):
+    # K, its gradient and its Hessian at one point agree with each other
     z = np.array([0.2, 0.9, -0.3])
-    ev = evaluate_potential(diode_opposite, z)
-    assert ev.k == pytest.approx(kr.k_value(diode_opposite, z), abs=1e-12)
-    np.testing.assert_allclose(ev.grad, kr.nodal_currents(diode_opposite, z))
-    np.testing.assert_allclose(ev.hess, kr.weighted_laplacian(diode_opposite, z))
-    np.testing.assert_allclose(ev.y, diode_opposite.incidence.T @ z)
+    grad = kr.nodal_currents(diode_opposite, z)
+    fd_grad = finite_difference_gradient(lambda v: kr.k_value(diode_opposite, v), z)
+    np.testing.assert_allclose(grad, fd_grad, atol=1e-7)
+    fd_hess = finite_difference_jacobian(lambda v: kr.nodal_currents(diode_opposite, v), z)
+    np.testing.assert_allclose(kr.weighted_laplacian(diode_opposite, z), fd_hess, atol=1e-7)
+    np.testing.assert_allclose(edge_voltages(diode_opposite, z), diode_opposite.incidence.T @ z)
 
 
 def test_law_count_mismatch_rejected():
@@ -200,3 +206,63 @@ def test_disconnected_network_rejected():
     g = kr.DirectedGraph(("a", "b", "c"), (("a", "b"),))
     with pytest.raises(kr.GraphStructureError):
         kr.build_network(g, [kr.edge_law("y")], ("a",))
+
+
+# Grouped law evaluation against a per-edge scalar loop.  Each text is parsed
+# twice, so equal laws arrive as distinct objects with equal ASTs; the linear
+# laws have a constant g' that must broadcast over their edges.  One table
+# object is shared by several edges, the other stands alone.
+_TEXTS = ("y", "2*y", "exp(y) - 1", "y + tanh(y)", "sinh(y)")
+_Y = np.linspace(-3.0, 3.0, 9)
+_SHARED_TABLE = TableLaw(_Y, _Y + 0.3 * np.tanh(_Y))
+_MIXED_LAWS = (
+    tuple(kr.edge_law(t) for t in _TEXTS)
+    + tuple(kr.edge_law(t, interval=(-4.0, 5.0)) for t in _TEXTS)
+    + (_SHARED_TABLE, _SHARED_TABLE, TableLaw(_Y, np.sinh(_Y)))
+)
+
+
+def _mixed_network(seed):
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, n_max=6)
+    laws = [_MIXED_LAWS[int(i)] for i in rng.integers(0, len(_MIXED_LAWS), graph.m)]
+    n_b = int(rng.integers(1, graph.n + 1))
+    boundary = [graph.node_ids[i] for i in rng.choice(graph.n, size=n_b, replace=False)]
+    return kr.build_network(graph, laws, boundary), rng
+
+
+def _first_violation_loop(net, y):
+    for j, law in enumerate(net.laws):
+        if not law.contains(y[j]):
+            return j
+    return -1
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10_000))
+def test_grouped_law_values_match_scalar_loop(seed):
+    net, rng = _mixed_network(seed)
+    y = rng.uniform(-3.0, 3.0, net.graph.m)
+    want_g = [float(law.g_at(y[j])) for j, law in enumerate(net.laws)]
+    want_gp = [float(law.gp_at(y[j])) for j, law in enumerate(net.laws)]
+    np.testing.assert_allclose(_g_vec(net, y), want_g, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(_gp_vec(net, y), want_gp, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10_000))
+def test_interval_checks_name_first_offending_edge(seed):
+    net, rng = _mixed_network(seed)
+    z = rng.uniform(-4.0, 4.0, net.graph.n)
+    bad = _first_violation_loop(net, net.incidence.T @ z)
+    if bad < 0:
+        edge_voltages(net, z)
+        return
+    with pytest.raises(IntervalError) as info:
+        edge_voltages(net, z)
+    assert info.value.edge == edge_label(net, bad)
+    boundary = list(net.partition.boundary)
+    central = list(net.partition.central)
+    with pytest.raises(SolveError) as info:
+        kr.solve_interior(net, z[boundary], init=z[central])
+    assert info.value.edge == edge_label(net, bad)

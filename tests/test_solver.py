@@ -230,3 +230,16 @@ def test_min_heat_single_boundary_node():
                 best = (p, a, b)
     np.testing.assert_allclose(report.z_c_constraint, [best[1], best[2]], atol=5e-3)
     assert report.max_abs_difference <= 1e-6
+
+
+def test_non_finite_interior_hessian_is_solve_error():
+    # g' of y + 0.5*sqrt(y^2) is 0/0 at y = 0, a point the certification grid
+    # on (-8, 8.5) misses; the start z_0 = mean(z_B) = 0 lands on it
+    g = kr.DirectedGraph(("0", "1", "2", "3"), (("1", "0"), ("2", "0"), ("3", "0")))
+    laws = [kr.edge_law("y + 0.5*sqrt(y^2)", interval=(-8.0, 8.5)),
+            kr.edge_law("exp(y) - 1"), kr.edge_law("y")]
+    net = kr.build_network(g, laws, ("1", "2", "3"))
+    with pytest.raises(SolveError, match="factorization failed") as info:
+        kr.solve_interior(net, [0.0, -1.0, 1.0])
+    assert not info.value.result.converged
+    assert info.value.result.iterations == 0
