@@ -212,6 +212,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.samples < 2:
+        raise NetworkFileError("--samples must be at least 2")
+    if not 0.0 < args.range < float("inf"):
+        raise NetworkFileError("--range must be positive and finite")
     loaded = load_network(args.file)
     plan = SamplingPlan(count=args.samples, scale=args.range, seed=args.seed)
 
@@ -255,6 +259,11 @@ def cmd_curve(args) -> int:
         a, b = (part.strip() for part in args.pair.split(","))
     except ValueError as exc:
         raise NetworkFileError("--pair wants two comma-separated node names") from exc
+    if a == b:
+        raise NetworkFileError("--pair wants two different nodes")
+    unknown = [name for name in (a, b) if name not in loaded.network.graph.node_ids]
+    if unknown:
+        raise NetworkFileError(f"unknown node in --pair: {', '.join(unknown)}")
     if args.points < 2 or not args.vmin < args.vmax:
         raise NetworkFileError("need points >= 2 and vmin < vmax")
     grid = np.linspace(args.vmin, args.vmax, args.points)

@@ -6,8 +6,10 @@ point.  Its off-diagonal support defines the reduced graph.  On acyclic
 reduced graphs the boundary currents determine the per-edge currents
 exactly, so per-edge laws are recovered as monotone sample tables.  On
 cyclic reduced graphs the currents are determined only up to the cycle
-space and the recovery is a least-squares fit, certified by held-out
-residuals and an integrability diagnostic.
+space, so each edge's law is integrated from its slopes, the reduced
+Hessian's off-diagonal weights, and anchored by the minimum-norm constant;
+the result is certified by held-out residuals and an integrability
+diagnostic.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import BSpline, CubicHermiteSpline, CubicSpline, PchipInterpolator
-from scipy.linalg import block_diag
-from scipy.optimize import lsq_linear
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
 
 from .errors import AssumptionError, NonQuadraticLawError, SolveError
 from .exprlaw import differentiate, evaluate
@@ -37,7 +37,7 @@ from .potential import (
     k_value,
     weighted_laplacian,
 )
-from .solver import solve_interior
+from .solver import SolveResult, solve_interior
 
 SUPPORT_ABS_TOL = 1e-10
 SUPPORT_REL_TOL = 1e-9
@@ -225,7 +225,10 @@ def schur_complement(matrix: np.ndarray, keep, elim) -> np.ndarray:
 
 def reduced_hessian(net: Network, z_b) -> np.ndarray:
     """Schur complement of the Hessian over the central block at z_C(z_B)."""
-    result = solve_interior(net, z_b)
+    return _reduced_hessian_at(net, solve_interior(net, z_b))
+
+
+def _reduced_hessian_at(net: Network, result: SolveResult) -> np.ndarray:
     h = weighted_laplacian(net, result.z_full)
     return schur_complement(h, net.partition.boundary, net.partition.central)
 
@@ -286,18 +289,7 @@ def _pool_edge_samples(ys: np.ndarray, currents: np.ndarray, context: str):
                 f"{context}: recovered currents are not single-valued in the edge value "
                 "(per-edge diagonal structure violated)"
             )
-    merged_y = []
-    merged_i = []
-    start = 0
-    while start < len(y):
-        stop = start + 1
-        while stop < len(y) and y[stop] - y[start] <= MERGE_WINDOW:
-            stop += 1
-        merged_y.append(float(np.mean(y[start:stop])))
-        merged_i.append(float(np.mean(i[start:stop])))
-        start = stop
-    my = np.asarray(merged_y)
-    mi = np.asarray(merged_i)
+    my, mi = _merge_runs(y, i)
     if len(my) < 2:
         raise AssumptionError(f"{context}: not enough distinct samples to build a table")
     if not (np.diff(mi) > 0).all():
@@ -305,19 +297,36 @@ def _pool_edge_samples(ys: np.ndarray, currents: np.ndarray, context: str):
     return my, mi
 
 
+def _merge_runs(y: np.ndarray, v: np.ndarray):
+    """Average each run of sorted ``y`` within MERGE_WINDOW of the run's first value."""
+    merged_y = []
+    merged_v = []
+    start = 0
+    while start < len(y):
+        stop = start + 1
+        while stop < len(y) and y[stop] - y[start] <= MERGE_WINDOW:
+            stop += 1
+        merged_y.append(float(np.mean(y[start:stop])))
+        merged_v.append(float(np.mean(v[start:stop])))
+        start = stop
+    return np.asarray(merged_y), np.asarray(merged_v)
+
+
 def _solved_samples(net: Network, samples: np.ndarray):
     return [solve_interior(net, zb) for zb in samples]
 
 
 def _exact_edge_currents(dhat: np.ndarray, j_b: np.ndarray) -> np.ndarray:
-    ihat, *_ = np.linalg.lstsq(dhat, j_b, rcond=None)
-    residual = np.abs(dhat @ ihat - j_b).max(initial=0.0)
-    if residual > 1e-8 * (1.0 + np.abs(j_b).max(initial=0.0)):
+    """Per-edge currents of every sample (one row of ``j_b`` each) on a forest."""
+    ihat, *_ = np.linalg.lstsq(dhat, j_b.T, rcond=None)
+    residual = np.abs(dhat @ ihat - j_b.T).max(axis=0, initial=0.0)
+    bad = residual > 1e-8 * (1.0 + np.abs(j_b).max(axis=1, initial=0.0))
+    if bad.any():
         raise AssumptionError(
             f"boundary currents are inconsistent with the reduced incidence "
-            f"(residual {residual:.3e})"
+            f"(residual {residual[np.argmax(bad)]:.3e})"
         )
-    return ihat
+    return ihat.T
 
 
 def recover_edge_laws_acyclic(
@@ -337,15 +346,10 @@ def recover_edge_laws_acyclic(
     dhat = build_incidence(reduced_graph)
     samples = plan.boundary_samples(len(reduced_graph.node_ids))
     results = _solved_samples(net, samples)
-    m_hat = reduced_graph.m
-    ys = np.empty((len(samples), m_hat))
-    cs = np.empty((len(samples), m_hat))
-    for s, (zb, res) in enumerate(zip(samples, results)):
-        ys[s] = dhat.T @ zb
-        cs[s] = _exact_edge_currents(dhat, res.j_b)
+    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
+    cs = _exact_edge_currents(dhat, np.array([res.j_b for res in results]))
     tables = []
-    for j in range(m_hat):
-        tail, head = reduced_graph.edges[j]
+    for j, (tail, head) in enumerate(reduced_graph.edges):
         y, i = _pool_edge_samples(ys[:, j], cs[:, j], f"edge {tail}->{head}")
         tables.append(_make_table(y, i))
     if certificate is None:
@@ -360,9 +364,31 @@ def recover_edge_laws_acyclic(
     return reduced
 
 
-def _spline_knots(lo: float, hi: float, interior: int) -> np.ndarray:
-    inner = np.linspace(lo, hi, interior + 2)[1:-1]
-    return np.concatenate([[lo] * 4, inner, [hi] * 4])
+def _integrate_slopes(ys: np.ndarray, ws: np.ndarray, context: str):
+    """Table nodes of one edge and its law's integral from 0 to each node.
+
+    The sampled (value, slope) pairs are sorted and merged as pooled
+    currents are, interpolated by a C2 cubic spline and integrated exactly
+    between nodes.  Each increment is floored at the smallest positive
+    sampled slope times the gap, so the integral is strictly increasing
+    even where the spline dips.  The value 0 becomes a node unless a
+    merged sample lies within MERGE_WINDOW of it; the integral is 0 there.
+    """
+    order = np.argsort(ys, kind="stable")
+    y, w = _merge_runs(ys[order], ws[order])
+    if len(y) < 2:
+        raise AssumptionError(f"{context}: not enough distinct samples to build a table")
+    positive = ws[ws > 0]
+    if not positive.size:
+        raise AssumptionError(f"{context}: no sampled weight is positive")
+    antiderivative = CubicSpline(y, w).antiderivative()
+    zero = int(np.argmin(np.abs(y)))
+    if abs(y[zero]) > MERGE_WINDOW:
+        zero = int(np.searchsorted(y, 0.0))
+        y = np.insert(y, zero, 0.0)
+    rise = np.maximum(np.diff(antiderivative(y)), positive.min() * np.diff(y))
+    integral = np.concatenate([[0.0], np.cumsum(rise)])
+    return y, integral - integral[zero]
 
 
 def recover_edge_laws_cyclic(
@@ -374,84 +400,36 @@ def recover_edge_laws_cyclic(
     """Best-effort recovery when the reduced graph has cycles.
 
     Per sample the edge currents are determined only up to the cycle
-    space, so per-edge functions are fitted jointly by least squares in a
-    monotone cubic spline basis; constant shifts along the cycle space are
-    an unavoidable gauge, pinned by a tiny ridge on the base values.  The
-    certificate records the held-out consistency residual; the reduction
-    is accepted when it is small and returned flagged otherwise.  When the
-    graph is actually acyclic the fit degenerates to the exact recovery.
+    space, but the negated off-diagonal entries of each sample's reduced
+    Hessian give every edge's slope g_j'(y_j) directly.  Each law is the
+    integral of its slopes from y = 0 plus a constant g_j(0); the constants
+    are the minimum-norm least-squares solution of
+    dhat @ g(0) = mean over samples of (J_B - dhat @ integral), so they add
+    no circulating current along the cycle space.  The certificate records
+    the held-out consistency residual; the reduction is accepted when it is
+    small and returned flagged otherwise.  When the graph is actually
+    acyclic the exact recovery runs instead.
     """
-    dhat = build_incidence(reduced_graph)
-    ids = reduced_graph.node_ids
     if is_acyclic(reduced_graph):
         return recover_edge_laws_acyclic(net, reduced_graph, plan, certificate)
-
-    samples = plan.boundary_samples(len(ids))
+    dhat = build_incidence(reduced_graph)
+    samples = plan.boundary_samples(len(reduced_graph.node_ids))
     results = _solved_samples(net, samples)
-    m_hat = reduced_graph.m
     ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
-    kernel_dim = fundamental_cycles(reduced_graph).shape[1]
-
-    interior = int(np.clip(plan.count // 8, 4, 16))
-    knots = []
-    offsets = [0]
-    for j in range(m_hat):
-        lo = float(ys[:, j].min()) - 1e-9
-        hi = float(ys[:, j].max()) + 1e-9
-        t = _spline_knots(lo, hi, interior)
-        knots.append(t)
-        offsets.append(offsets[-1] + len(t) - 4)
-    total = offsets[-1]
-
-    rows = []
-    rhs = []
-    for s, res in enumerate(results):
-        x = np.zeros((m_hat, total))
-        for j in range(m_hat):
-            cols = BSpline.design_matrix(np.array([ys[s, j]]), knots[j], 3).toarray()[0]
-            x[j, offsets[j]:offsets[j + 1]] = cols
-        rows.append(dhat @ x)
-        rhs.append(results[s].j_b)
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    rank = np.linalg.matrix_rank(a)
-    if rank < total - kernel_dim:
-        raise AssumptionError(
-            f"least-squares rank deficiency ({rank} < {total - kernel_dim}): too few samples"
-        )
-    # monotone spline parameterization: per edge, coefficients are a free
-    # base value plus cumulative nonnegative increments, so every candidate
-    # is a nondecreasing spline by construction
-    tmat = block_diag(*(np.tril(np.ones((offsets[j + 1] - offsets[j],) * 2))
-                        for j in range(m_hat)))
-    lower = np.zeros(total)
-    for j in range(m_hat):
-        lower[offsets[j]] = -np.inf
-    # tiny ridge on the base values pins the unobservable constant shifts
-    # along the cycle space without touching any slope
-    ridge = np.zeros((m_hat, total))
-    for j in range(m_hat):
-        ridge[j, offsets[j]] = 1e-6
-    design = np.vstack([a @ tmat, ridge])
-    target = np.concatenate([b, np.zeros(m_hat)])
-    fit = lsq_linear(design, target, bounds=(lower, np.full(total, np.inf)), method="bvls")
-    coeffs = tmat @ fit.x
-
-    fitted = []
-    for j in range(m_hat):
-        increments = np.diff(coeffs[offsets[j]:offsets[j + 1]])
-        if increments.min(initial=0.0) < -1e-12:  # cannot happen with the bounds
-            tail, head = reduced_graph.edges[j]
-            raise AssumptionError(f"fitted law on edge {tail}->{head} is not monotone")
-        fitted.append(BSpline(knots[j], coeffs[offsets[j]:offsets[j + 1]], 3))
-
-    # strict monotonicity is enforced where the tables sample the fit; a fit
-    # clamped flat across samples surfaces here as a pooling failure
-    tables = []
-    for j in range(m_hat):
-        tail, head = reduced_graph.edges[j]
-        y, i = _pool_edge_samples(ys[:, j], fitted[j](ys[:, j]), f"edge {tail}->{head}")
-        tables.append(_make_table(y, i))
+    tails, heads = np.array(reduced_graph.edge_indices()).T
+    weights = np.array([-_reduced_hessian_at(net, res)[tails, heads] for res in results])
+    nodes = []
+    integrals = []
+    for j, (tail, head) in enumerate(reduced_graph.edges):
+        y, integral = _integrate_slopes(ys[:, j], weights[:, j], f"edge {tail}->{head}")
+        nodes.append(y)
+        integrals.append(integral)
+    # every sample lies on (or within MERGE_WINDOW of) a node of its edge
+    at_samples = np.column_stack([np.interp(ys[:, j], nodes[j], integrals[j])
+                                  for j in range(reduced_graph.m)])
+    j_b = np.array([res.j_b for res in results])
+    base, *_ = np.linalg.lstsq(dhat, (j_b - at_samples @ dhat.T).mean(axis=0), rcond=None)
+    tables = [_make_table(y, integral + c) for y, integral, c in zip(nodes, integrals, base)]
     if certificate is None:
         certificate = AssumptionCertificate(len(samples), True, ())
     certificate = replace(certificate, acyclic=False)
@@ -661,15 +639,14 @@ def reduce_linear(net: Network) -> ReducedNetwork:
 # Orchestration
 
 
-def reduce_network(net: Network, plan: SamplingPlan | None = None,
-                   run_integrability: bool = True) -> ReducedNetwork:
+def reduce_network(net: Network, plan: SamplingPlan | None = None) -> ReducedNetwork:
     """Full reduction pipeline with certificates.
 
     All-quadratic networks take the exact linear path.  Otherwise the
     reduced support is inferred by sampling, laws are recovered (exactly
-    for acyclic supports, by monotone least squares otherwise), and the
-    certificate is completed with held-out residuals and, for cyclic
-    supports, the integrability diagnostic.
+    for acyclic supports, by integrating the reduced Hessian's edge weights
+    otherwise), and the certificate is completed with held-out residuals
+    and, for cyclic supports, the integrability diagnostic.
     """
     plan = plan or SamplingPlan()
     if is_all_quadratic(net):
@@ -680,8 +657,7 @@ def reduce_network(net: Network, plan: SamplingPlan | None = None,
         reduced.certificate.integrability_max_asymmetry = 0.0
         return reduced
     reduced = recover_edge_laws_cyclic(net, graph, plan, certificate)
-    if run_integrability:
-        reduced.certificate.integrability_max_asymmetry = integrability_diagnostic(
-            net, graph, cycle_space(graph), plan, reduced
-        )
+    reduced.certificate.integrability_max_asymmetry = integrability_diagnostic(
+        net, graph, cycle_space(graph), plan, reduced
+    )
     return reduced

@@ -33,7 +33,7 @@ DIODE = {
 
 def test_load_shipped_files():
     for name in ("diode_opposite", "diode_same", "linear_series", "linear_star",
-                  "triangle_center", "diode_ring", "memristor_pair"):
+                  "triangle_center", "diode_ring", "series_triangle", "memristor_pair"):
         loaded = load_network(NETWORKS_DIR / f"{name}.json")
         assert loaded.network.graph.n >= 2
 
@@ -189,6 +189,22 @@ def test_reduce_flags_unaccepted_cyclic_fit(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["certificate"]["accepted"] is False
     assert data["certificate"]["consistency_residual"] > 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "diode_opposite", "--samples", "1"],
+    ["reduce", "diode_opposite", "--samples", "0"],
+    ["reduce", "diode_opposite", "--samples", "-3"],
+    ["reduce", "diode_opposite", "--range", "-1"],
+    ["reduce", "diode_opposite", "--range", "0"],
+    ["curve", "diode_opposite", "--pair", "1,1"],
+    ["curve", "diode_opposite", "--pair", "1,9"],
+])
+def test_bad_option_values_are_usage_errors(argv, capsys):
+    verb, name, *options = argv
+    code = main([verb, str(NETWORKS_DIR / f"{name}.json"), *options])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_curve_csv_values(tmp_path, capsys):
