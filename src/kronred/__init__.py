@@ -41,11 +41,9 @@ from .potential import (
 )
 from .reduction import (
     AssumptionCertificate,
-    CycleSpace,
     ReducedNetwork,
     SamplingPlan,
     TableLaw,
-    cycle_space,
     effective_curve,
     holdout_residual,
     infer_reduced_graph,

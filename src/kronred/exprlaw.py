@@ -451,14 +451,6 @@ def scan_convexity(
     return float(values.min()), None
 
 
-def check_strong_convexity(law: EdgeLaw, samples: int = DEFAULT_CONVEXITY_SAMPLES) -> float:
-    """Return the sampled lower bound of g' or raise ConvexityError."""
-    value, violation = scan_convexity(law.g_prime, law.validity_interval, samples)
-    if violation is not None:
-        raise ConvexityError(violation, value, law.source)
-    return value
-
-
 def edge_law(
     text: str,
     kind: str = "conductance",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, ExprSyntaxError, NetworkFileError
-from .exprlaw import DEFAULT_INTERVAL, edge_law
+from .exprlaw import DEFAULT_INTERVAL, edge_law, parse_law
 from .graph import DirectedGraph
 from .potential import Network, build_network
 from .reduction import ReducedNetwork, SamplingPlan, TableLaw
@@ -142,8 +142,6 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
             parsed.kind = kind
             parsed.interval = (lo, hi)
             try:  # syntax only; convexity is certified at assembly
-                from .exprlaw import parse_law
-
                 parse_law(law_text)
             except ExprSyntaxError as exc:
                 raise NetworkFileError(f"law does not parse: {exc}", loc) from exc

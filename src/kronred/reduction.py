@@ -2,7 +2,8 @@
 
 The reduced Hessian at a boundary assignment is the Schur complement of the
 weighted Laplacian over the central block, evaluated at the solved interior
-point.  Its off-diagonal support defines the reduced graph.  On acyclic
+point (``solver._schur``, shared with the sensitivity and the exact linear
+path).  Its off-diagonal support defines the reduced graph.  On acyclic
 reduced graphs the boundary currents determine the per-edge currents
 exactly, so per-edge laws are recovered as monotone sample tables.  On
 cyclic reduced graphs the currents are determined only up to the cycle
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import AssumptionError, NonQuadraticLawError, SolveError
 from .exprlaw import differentiate, evaluate
@@ -29,15 +30,8 @@ from .graph import (
     is_acyclic,
     is_connected,
 )
-from .potential import (
-    Network,
-    NodePartition,
-    build_network,
-    edge_label,
-    k_value,
-    weighted_laplacian,
-)
-from .solver import SolveResult, solve_interior
+from .potential import Network, NodePartition, _gp_vec, build_network, edge_label, k_value
+from .solver import SolveResult, _schur, solve_interior
 
 SUPPORT_ABS_TOL = 1e-10
 SUPPORT_REL_TOL = 1e-9
@@ -46,6 +40,10 @@ CONSISTENCY_DI = 1e-7
 MERGE_WINDOW = 1e-7
 ACCEPT_RESIDUAL = 1e-6
 LINEAR_TABLE_SPAN = 4.0
+TABLE_PAD = 0.02  # table validity extends this fraction of its span past each end
+HOLDOUT_SHRINK = 0.8  # held-out box, relative to the sampling box
+INTEGRABILITY_STEP = 1e-3
+INTEGRABILITY_POINTS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,8 @@ class SamplingPlan:
     Samples are drawn uniformly in [-scale, scale]^{n_B} and the last
     component is subtracted (shift invariance makes one representative per
     gauge orbit sufficient).  Held-out samples come from a disjoint seed
-    and a slightly smaller box so they stay inside the recovered tables.
+    and a box HOLDOUT_SHRINK times as large, so they stay inside the
+    recovered tables.
     """
 
     count: int = 64
@@ -71,9 +70,10 @@ class SamplingPlan:
         u = rng.uniform(-self.scale, self.scale, (self.count, n_boundary))
         return u - u[:, -1:]
 
-    def holdout_samples(self, n_boundary: int, count: int = 50, factor: float = 0.8) -> np.ndarray:
+    def holdout_samples(self, n_boundary: int, count: int = 50) -> np.ndarray:
         rng = np.random.default_rng(self.seed + 9973)
-        u = rng.uniform(-factor * self.scale, factor * self.scale, (count, n_boundary))
+        half = HOLDOUT_SHRINK * self.scale
+        u = rng.uniform(-half, half, (count, n_boundary))
         return u - u[:, -1:]
 
 
@@ -93,8 +93,6 @@ def monotone_cubic(x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two samples to interpolate")
-    if len(x) < 4:
-        return PchipInterpolator(x, y)
     secants = np.diff(y) / np.diff(x)
     slopes = CubicSpline(x, y).derivative()(x)
     limit = np.empty_like(slopes)
@@ -110,20 +108,20 @@ class TableLaw:
 
     Provides the same evaluation protocol as a parsed law: g_at, gp_at,
     cocontent (anchored at 0), contains, validity_interval and a sampled
-    convexity margin.  A small extrapolation pad beyond the sampled range
-    keeps held-out evaluation robust.
+    convexity margin.  An extrapolation pad of TABLE_PAD times the sampled
+    range at each end keeps held-out evaluation robust.
     """
 
     kind = "table"
 
-    def __init__(self, y: np.ndarray, current: np.ndarray, pad_fraction: float = 0.02):
+    def __init__(self, y: np.ndarray, current: np.ndarray):
         self.y = np.asarray(y, dtype=float)
         self.current = np.asarray(current, dtype=float)
         self._f = monotone_cubic(self.y, self.current)
         self._fp = self._f.derivative()
         self._anti = self._f.antiderivative()
         self._anchor = float(self._anti(0.0))
-        pad = pad_fraction * (self.y[-1] - self.y[0])
+        pad = TABLE_PAD * (self.y[-1] - self.y[0])
         self.validity_interval = (float(self.y[0] - pad), float(self.y[-1] + pad))
         grid = np.linspace(self.y[0], self.y[-1], 513)
         self.convexity_margin = float(np.min(self._fp(grid)))
@@ -197,30 +195,8 @@ class ReducedNetwork:
         return build_network(self.graph, self.laws(), self.graph.node_ids)
 
 
-@dataclass(frozen=True)
-class CycleSpace:
-    """Columns span ker of the reduced incidence matrix."""
-
-    matrix: np.ndarray
-
-
-def cycle_space(graph: DirectedGraph) -> CycleSpace:
-    return CycleSpace(fundamental_cycles(graph))
-
-
 # ---------------------------------------------------------------------------
 # Reduced Hessian and support inference
-
-
-def schur_complement(matrix: np.ndarray, keep, elim) -> np.ndarray:
-    keep = list(keep)
-    elim = list(elim)
-    if not elim:
-        return matrix[np.ix_(keep, keep)]
-    a = matrix[np.ix_(keep, keep)]
-    b = matrix[np.ix_(keep, elim)]
-    c = matrix[np.ix_(elim, elim)]
-    return a - b @ np.linalg.solve(c, b.T)
 
 
 def reduced_hessian(net: Network, z_b) -> np.ndarray:
@@ -229,8 +205,7 @@ def reduced_hessian(net: Network, z_b) -> np.ndarray:
 
 
 def _reduced_hessian_at(net: Network, result: SolveResult) -> np.ndarray:
-    h = weighted_laplacian(net, result.z_full)
-    return schur_complement(h, net.partition.boundary, net.partition.central)
+    return _schur(net, _gp_vec(net, net.incidence.T @ result.z_full))[0]
 
 
 def boundary_ids(net: Network) -> tuple[str, ...]:
@@ -476,11 +451,8 @@ def holdout_residual(net: Network, reduced: ReducedNetwork, plan: SamplingPlan,
 def integrability_diagnostic(
     net: Network,
     reduced_graph: DirectedGraph,
-    cycles: CycleSpace,
     plan: SamplingPlan,
     candidate: ReducedNetwork,
-    step: float = 1e-3,
-    max_points: int = 4,
 ) -> float:
     """Cross-derivative asymmetry of the cycle-space correction.
 
@@ -488,43 +460,45 @@ def integrability_diagnostic(
     per-edge slopes is projected onto the cycle space; if that correction
     field were the Hessian of some function its directional derivatives
     would commute.  Returns the maximum observed asymmetry (0 for acyclic
-    reductions).  Edge-coordinate perturbations are realized through
-    boundary perturbations, i.e. projected onto the realizable subspace.
+    reductions) over the first INTEGRABILITY_POINTS samples, by central
+    differences of step INTEGRABILITY_STEP.  Edge-coordinate perturbations
+    are realized through boundary perturbations, i.e. projected onto the
+    realizable subspace.  The reduced graph must be oriented lower boundary
+    index = tail, as ``infer_reduced_graph`` returns it.
     """
-    f = cycles.matrix
+    f = fundamental_cycles(reduced_graph)
     if f.shape[1] == 0:
         return 0.0
     dhat = build_incidence(reduced_graph)
     ids = reduced_graph.node_ids
     laws = candidate.laws()
     m_hat = reduced_graph.m
-    slot = {edge: j for j, edge in enumerate(reduced_graph.edges)}
+    pairs = reduced_graph.edge_indices()
+    tails, heads = np.array(pairs).T
     pinv_dt = np.linalg.pinv(dhat.T)
     pinv_f = np.linalg.pinv(f)
 
     def correction(zb: np.ndarray) -> np.ndarray:
         h = reduced_hessian(net, zb)
-        support_graph, weights = graph_from_laplacian(h, ids)
-        w = np.zeros(m_hat)
-        for edge, weight in zip(support_graph.edges, weights):
-            if edge not in slot:
-                raise AssumptionError(
-                    f"support changed under perturbation: unexpected edge {edge[0]}->{edge[1]}"
-                )
-            w[slot[edge]] = weight
+        extra = sorted(_support_of(h).difference(pairs))
+        if extra:
+            i, k = extra[0]
+            raise AssumptionError(
+                f"support changed under perturbation: unexpected edge {ids[i]}->{ids[k]}"
+            )
+        w = -h[tails, heads]
         yh = dhat.T @ zb
         r = np.diag(w - np.array([laws[j].gp_at(yh[j]) for j in range(m_hat)]))
         s = pinv_f @ r @ pinv_f.T
         return f @ s @ f.T
 
     worst = 0.0
-    for zb in plan.boundary_samples(len(ids))[:max_points]:
+    for zb in plan.boundary_samples(len(ids))[:INTEGRABILITY_POINTS]:
         grads = []
         for k in range(m_hat):
-            delta = pinv_dt @ np.eye(m_hat)[k]
-            plus = correction(zb + step * delta)
-            minus = correction(zb - step * delta)
-            grads.append((plus - minus) / (2.0 * step))
+            delta = INTEGRABILITY_STEP * (pinv_dt @ np.eye(m_hat)[k])
+            grads.append((correction(zb + delta) - correction(zb - delta))
+                         / (2.0 * INTEGRABILITY_STEP))
         for k in range(m_hat):
             for i in range(m_hat):
                 gap = float(np.abs(grads[k][i, :] - grads[i][k, :]).max())
@@ -627,9 +601,7 @@ def reduce_linear(net: Network) -> ReducedNetwork:
         certificate.acyclic = is_acyclic(graph)
         tables = tuple(_line_table(w) for w in weights)
         return ReducedNetwork(graph, tables, certificate)
-    laplacian = (net.incidence * np.asarray(weights)) @ net.incidence.T
-    schur = schur_complement(laplacian, net.partition.boundary, net.partition.central)
-    graph, reduced_weights = graph_from_laplacian(schur, ids)
+    graph, reduced_weights = graph_from_laplacian(_schur(net, np.asarray(weights))[0], ids)
     certificate.acyclic = is_acyclic(graph)
     tables = tuple(_line_table(w) for w in reduced_weights)
     return ReducedNetwork(graph, tables, certificate)
@@ -658,6 +630,6 @@ def reduce_network(net: Network, plan: SamplingPlan | None = None) -> ReducedNet
         return reduced
     reduced = recover_edge_laws_cyclic(net, graph, plan, certificate)
     reduced.certificate.integrability_max_asymmetry = integrability_diagnostic(
-        net, graph, cycle_space(graph), plan, reduced
+        net, graph, plan, reduced
     )
     return reduced

@@ -5,6 +5,11 @@ central potentials as a function z_C(z_B) of the boundary potentials.  The
 interior Hessian block is positive definite on connected graphs with
 strictly monotone laws, so damped Newton with a residual-decrease line
 search converges from any feasible start inside the validity box.
+
+Eliminating the central block of the weighted Laplacian H = D diag(w) D^T
+gives the reduced Laplacian H_BB - H_BC H_CC^{-1} H_CB (the Kron reduction
+of the network weighted by w) and the sensitivity dz_C/dz_B =
+-H_CC^{-1} H_CB; ``_schur`` forms both from one solve against H_CC.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .potential import (
     _gp_vec,
     dissipated_power,
     edge_label,
+    edge_voltages,
     k_value,
 )
 
@@ -169,15 +175,40 @@ def solve_interior(
                        _assemble(net, z_c, z_b))
 
 
+def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced Laplacian and sensitivity of the network weighted by edge weights w.
+
+    From the boundary and central incidence rows, returns
+    (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB), both in partition order,
+    from a single LU solve against H_CC.  The solve is numpy's, not scipy's:
+    on large interiors, handing the numpy-built block to scipy's separately
+    linked OpenBLAS costs more than the factorization itself.  Raises
+    SolveError when a weight is not finite or H_CC is singular.
+    """
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise SolveError("edge weight is not finite", edge=edge_label(net, int(np.argmin(finite))))
+    d_b = net.incidence[list(net.partition.boundary)]
+    d_c = net.incidence[list(net.partition.central)]
+    h_bb = (d_b * w) @ d_b.T
+    if not len(d_c):
+        return h_bb, np.zeros((0, len(d_b)))
+    wd_c = d_c * w
+    h_cb = wd_c @ d_b.T
+    try:
+        s = -np.linalg.solve(wd_c @ d_c.T, h_cb)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError("interior Hessian is singular") from exc
+    return h_bb + h_cb.T @ s, s
+
+
 def interior_hessian_check(net: Network, z) -> float:
     """Smallest eigenvalue of the interior Hessian block at z."""
-    from .potential import weighted_laplacian
-
-    central = list(net.partition.central)
-    if not central:
+    d_c = net.incidence[list(net.partition.central)]
+    if not len(d_c):
         return float("inf")
-    h = weighted_laplacian(net, z)
-    return float(np.linalg.eigvalsh(h[np.ix_(central, central)]).min())
+    w = _gp_vec(net, edge_voltages(net, z))
+    return float(np.linalg.eigvalsh((d_c * w) @ d_c.T).min())
 
 
 def sensitivity(net: Network, z_b) -> np.ndarray:
@@ -187,21 +218,8 @@ def sensitivity(net: Network, z_b) -> np.ndarray:
     rows sum to one because shifting all boundary potentials shifts the
     interior solution by the same constant.
     """
-    from .potential import weighted_laplacian
-
     result = solve_interior(net, z_b)
-    central = list(net.partition.central)
-    boundary = list(net.partition.boundary)
-    if not central:
-        return np.zeros((0, len(boundary)))
-    h = weighted_laplacian(net, result.z_full)
-    h_cc = h[np.ix_(central, central)]
-    h_cb = h[np.ix_(central, boundary)]
-    try:
-        factor = cho_factor(h_cc)
-    except LinAlgError as exc:
-        raise SolveError("interior Hessian factorization failed") from exc
-    return -cho_solve(factor, h_cb)
+    return _schur(net, _gp_vec(net, net.incidence.T @ result.z_full))[1]
 
 
 def reduced_potential(net: Network, z_b) -> float:

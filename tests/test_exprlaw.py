@@ -11,7 +11,6 @@ import kronred as kr
 from kronred.errors import ConvexityError, ExprSyntaxError, IntervalError
 from kronred.exprlaw import (
     Num,
-    check_strong_convexity,
     cocontent,
     differentiate,
     edge_law,
@@ -194,7 +193,6 @@ def test_cocontent_derivative_is_g():
 def test_convexity_margin_exp():
     law = edge_law("exp(y) - 1", interval=(-3.0, 3.0))
     assert law.convexity_margin == pytest.approx(math.exp(-3.0), rel=1e-12)
-    assert check_strong_convexity(law) == pytest.approx(math.exp(-3.0), rel=1e-12)
 
 
 def test_convexity_margin_linear():

@@ -12,13 +12,8 @@ from kronred import reduction
 from kronred.errors import AssumptionError, NonQuadraticLawError
 from kronred.graph import build_incidence
 from kronred.netfile import load_network
-from kronred.reduction import (
-    SamplingPlan,
-    _pool_edge_samples,
-    monotone_cubic,
-    schur_complement,
-)
-from kronred.solver import solve_interior
+from kronred.reduction import SamplingPlan, _pool_edge_samples, monotone_cubic
+from kronred.solver import _schur, solve_interior
 
 from conftest import (
     NETWORKS_DIR,
@@ -30,6 +25,7 @@ from conftest import (
     linear_series_net,
     linear_star_net,
     random_connected_graph,
+    random_network,
     triangle_center_net,
 )
 
@@ -193,8 +189,7 @@ def test_cyclic_path_on_acyclic_support_matches_exact(diode_opposite):
 def test_integrability_zero_for_acyclic(diode_opposite):
     graph, _ = kr.infer_reduced_graph(diode_opposite, SamplingPlan(count=8))
     rn = kr.recover_edge_laws_acyclic(diode_opposite, graph, PLAN)
-    value = kr.integrability_diagnostic(
-        diode_opposite, graph, kr.cycle_space(graph), PLAN, rn)
+    value = kr.integrability_diagnostic(diode_opposite, graph, PLAN, rn)
     assert value == 0.0
 
 
@@ -202,8 +197,7 @@ def test_integrability_small_for_quadratic_cycle(triangle_center):
     plan = SamplingPlan(count=64, seed=1)
     graph, cert = kr.infer_reduced_graph(triangle_center, SamplingPlan(count=8, seed=1))
     rn = kr.recover_edge_laws_cyclic(triangle_center, graph, plan, cert)
-    value = kr.integrability_diagnostic(
-        triangle_center, graph, kr.cycle_space(graph), plan, rn)
+    value = kr.integrability_diagnostic(triangle_center, graph, plan, rn)
     assert value <= 1e-6
 
 
@@ -212,8 +206,7 @@ def test_integrability_reports_finite_value_for_nonlinear_cycle():
     plan = SamplingPlan(count=96, seed=2, scale=1.0)
     graph, cert = kr.infer_reduced_graph(net, SamplingPlan(count=8, seed=2, scale=1.0))
     rn = kr.recover_edge_laws_cyclic(net, graph, plan, cert)
-    value = kr.integrability_diagnostic(net, graph, kr.cycle_space(graph), plan, rn,
-                                        max_points=2)
+    value = kr.integrability_diagnostic(net, graph, plan, rn)
     assert np.isfinite(value)
 
 
@@ -282,26 +275,48 @@ def test_reduce_linear_rejects_nonquadratic(diode_opposite):
         kr.reduce_linear(diode_opposite)
 
 
+def _reduced_laplacian(graph, w, boundary_ids):
+    net = kr.build_network(graph, [kr.edge_law("y")] * graph.m, boundary_ids)
+    return _schur(net, w)[0]
+
+
 def test_one_by_one_elimination_matches_block():
     rng = np.random.default_rng(7)
     for _ in range(20):
         graph = random_connected_graph(rng, n_min=3, n_max=8)
         w = rng.uniform(0.2, 3.0, graph.m)
-        d = build_incidence(graph)
-        lap = (d * w) @ d.T
         n_b = int(rng.integers(1, graph.n))
-        keep = sorted(rng.choice(graph.n, size=n_b, replace=False))
-        elim = [i for i in range(graph.n) if i not in keep]
-        block = schur_complement(lap, keep, elim)
-        # eliminate central nodes one at a time
-        current = lap
-        remaining = list(range(graph.n))
-        for node in elim:
-            pos = remaining.index(node)
-            others = [i for i in range(len(remaining)) if i != pos]
-            current = schur_complement(current, others, [pos])
-            remaining.remove(node)
-        assert np.abs(current - block).max() <= 1e-10 * (1.0 + np.abs(block).max())
+        keep = [graph.node_ids[i] for i in sorted(rng.choice(graph.n, size=n_b, replace=False))]
+        block = _reduced_laplacian(graph, w, keep)
+        # eliminate central nodes one at a time, re-reading each reduced
+        # Laplacian as a weighted graph on the nodes left
+        current_graph, current_w = graph, w
+        for node in [v for v in graph.node_ids if v not in keep]:
+            remaining = tuple(v for v in current_graph.node_ids if v != node)
+            lap = _reduced_laplacian(current_graph, current_w, remaining)
+            current_graph, current_w = kr.graph_from_laplacian(lap, remaining)
+        assert current_graph.node_ids == tuple(keep)
+        d = build_incidence(current_graph)
+        lap = (d * current_w) @ d.T
+        assert np.abs(lap - block).max() <= 1e-10 * (1.0 + np.abs(block).max())
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_reduced_hessian_is_dense_schur_complement(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    z_b = rng.uniform(-1.5, 1.5, len(net.partition.boundary))
+    h = kr.reduced_hessian(net, z_b)
+    boundary, central = list(net.partition.boundary), list(net.partition.central)
+    lap = kr.weighted_laplacian(net, kr.solve_interior(net, z_b).z_full)
+    h_bb = lap[np.ix_(boundary, boundary)]
+    h_bc = lap[np.ix_(boundary, central)]
+    h_cc = lap[np.ix_(central, central)]
+    scale = np.abs(lap).max()  # h can vanish (one boundary node); lap cannot
+    via_sensitivity = h_bb + h_bc @ kr.sensitivity(net, z_b)
+    assert np.abs(h - via_sensitivity).max() <= 1e-12 * scale
+    dense = h_bb - h_bc @ np.linalg.inv(h_cc) @ h_bc.T if central else h_bb
+    assert np.abs(h - dense).max() <= 1e-12 * scale
 
 
 def test_weight_locality_under_gauge_shift(diode_opposite):

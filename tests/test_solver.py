@@ -243,3 +243,9 @@ def test_non_finite_interior_hessian_is_solve_error():
         kr.solve_interior(net, [0.0, -1.0, 1.0])
     assert not info.value.result.converged
     assert info.value.result.iterations == 0
+    # at z_B = 0 the start already solves the interior, so no factorization
+    # runs; the reduced Hessian and the sensitivity meet the 0/0 weight
+    for derived in (kr.reduced_hessian, kr.sensitivity):
+        with pytest.raises(SolveError, match="not finite") as info:
+            derived(net, [0.0, 0.0, 0.0])
+        assert info.value.edge.startswith("0 (1->0)")
