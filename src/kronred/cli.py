@@ -106,7 +106,7 @@ def _structure_items(net, rng) -> list[CheckItem]:
         scale = 1.0 + np.abs(lap).max()
         sym = float(np.abs(lap - lap.T).max())
         rows = float(np.abs(lap.sum(axis=1)).max())
-        off = float(max((lap[i, k] for i in range(n) for k in range(n) if i != k), default=0.0))
+        off = float(lap[~np.eye(n, dtype=bool)].max()) if n > 1 else 0.0
         eigs = np.linalg.eigvalsh(lap)
         ok = (sym <= 1e-10 * scale and rows <= 1e-10 * scale and off <= 1e-12 * scale
               and eigs[0] >= -1e-9 * scale and (n < 2 or eigs[1] > 1e-12))

@@ -3,6 +3,14 @@
 The potential of a network is K(z) = sum_j G_j((D^T z)_j).  Its gradient is
 the vector of nodal currents D g(D^T z) and its Hessian is the weighted
 Laplacian D diag(g'(D^T z)) D^T, so K is convex and shift invariant.
+
+None of these products uses the dense n x m incidence matrix D, which
+``Network.incidence`` keeps for callers.  Each network caches its edge list
+in partition order (boundary nodes first, then central): D^T z is a gather
+z[head] - z[tail], D g is a scatter-add of g at the heads minus the tails,
+and D diag(w) D^T is one scatter-add of the four entries +w, +w, -w, -w per
+edge into n x n, so its boundary and central blocks are plain slices.  That
+is O(m + n^2) work instead of the O(n^2 m) of a dense product.
 """
 
 from __future__ import annotations
@@ -48,6 +56,26 @@ class _LawIndex:
     hi: np.ndarray
 
 
+# signs of an edge's Laplacian entries at (t, t), (h, h), (t, h), (h, t)
+_LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class _EdgeList:
+    """Edges as index arrays over the partition order (boundary, then central).
+
+    ``order[p]`` is the node at partition position p; ``tail``/``head`` are
+    the positions of each edge's ends; row j of ``entries`` holds the flat
+    positions in the n x n partition-ordered Laplacian of edge j's four
+    entries, in the order of ``_LAPLACIAN_SIGNS``.
+    """
+
+    order: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    entries: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Connected directed graph with one certified monotone law per edge."""
@@ -70,6 +98,17 @@ class Network:
         bounds = np.array([law.validity_interval for law in self.laws], dtype=float)
         lo, hi = bounds.reshape(-1, 2).T
         return _LawIndex(exprs, tuple(others), lo, hi)
+
+    @cached_property
+    def _edge_list(self) -> _EdgeList:
+        n = self.graph.n
+        order = np.array(self.partition.boundary + self.partition.central, dtype=np.intp)
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        ends = np.array(self.graph.edge_indices(), dtype=np.intp).reshape(-1, 2)
+        tail, head = position[ends].T
+        entries = np.stack([tail * n + tail, head * n + head, tail * n + head, head * n + tail], 1)
+        return _EdgeList(order, tail, head, entries)
 
 
 def build_network(graph: DirectedGraph, laws, boundary_ids) -> Network:
@@ -103,10 +142,40 @@ def _first_violation(net: Network, y: np.ndarray) -> int:
     return -1 if inside.all() else int(np.argmin(inside))
 
 
+def _edge_values(net: Network, z: np.ndarray) -> np.ndarray:
+    """D^T z for z in partition order: z[head] - z[tail] per edge."""
+    edges = net._edge_list
+    return z[edges.head] - z[edges.tail]
+
+
+def _nodal_sums(net: Network, g: np.ndarray) -> np.ndarray:
+    """D g in partition order: per node, g summed over in-edges minus out-edges."""
+    edges = net._edge_list
+    n = len(edges.order)
+    return np.bincount(edges.head, g, n) - np.bincount(edges.tail, g, n)
+
+
+def _laplacian(net: Network, w: np.ndarray) -> np.ndarray:
+    """D diag(w) D^T in partition order, scattered from the edge list."""
+    edges = net._edge_list
+    n = len(edges.order)
+    lap = np.bincount(edges.entries.ravel(), (w[:, None] * _LAPLACIAN_SIGNS).ravel(), n * n)
+    return lap.reshape(n, n)
+
+
+def _node_order(net: Network, v: np.ndarray) -> np.ndarray:
+    """A partition-ordered nodal vector rearranged into node-list order."""
+    out = np.empty(len(v))
+    out[net._edge_list.order] = v
+    return out
+
+
 def edge_voltages(net: Network, z: np.ndarray, check: bool = True) -> np.ndarray:
     """y = D^T z, validated against each law's validity interval."""
     z = np.asarray(z, dtype=float)
-    y = net.incidence.T @ z
+    if len(z) != net.graph.n:
+        raise ValueError(f"expected {net.graph.n} node values, got {len(z)}")
+    y = _edge_values(net, z[net._edge_list.order])
     if check:
         j = _first_violation(net, y)
         if j >= 0:
@@ -143,15 +212,16 @@ def k_value(net: Network, z: np.ndarray) -> float:
 def nodal_currents(net: Network, z: np.ndarray) -> np.ndarray:
     """Gradient of K: the nodal current vector D g(D^T z); sums to zero."""
     y = edge_voltages(net, z)
-    return net.incidence @ _g_vec(net, y)
+    return _node_order(net, _nodal_sums(net, _g_vec(net, y)))
 
 
 def weighted_laplacian(net: Network, z: np.ndarray) -> np.ndarray:
     """Hessian of K: D diag(g'(D^T z)) D^T, a weighted Laplacian."""
     y = edge_voltages(net, z)
-    w = _gp_vec(net, y)
-    d = net.incidence
-    return (d * w) @ d.T
+    order = net._edge_list.order
+    lap = np.empty((len(order), len(order)))
+    lap[np.ix_(order, order)] = _laplacian(net, _gp_vec(net, y))
+    return lap
 
 
 def dissipated_power(net: Network, z: np.ndarray) -> float:
@@ -173,5 +243,5 @@ def power_balance_check(net: Network, z: np.ndarray) -> PowerBalance:
     y = edge_voltages(net, z)
     currents = _g_vec(net, y)
     edge_power = float(y @ currents)
-    nodal_power = float(z @ (net.incidence @ currents))
+    nodal_power = float(z @ _node_order(net, _nodal_sums(net, currents)))
     return PowerBalance(edge_power, nodal_power, abs(edge_power - nodal_power))

@@ -30,7 +30,15 @@ from .graph import (
     is_acyclic,
     is_connected,
 )
-from .potential import Network, NodePartition, _gp_vec, build_network, edge_label, k_value
+from .potential import (
+    Network,
+    NodePartition,
+    _edge_values,
+    _gp_vec,
+    build_network,
+    edge_label,
+    k_value,
+)
 from .solver import SolveResult, _schur, solve_interior
 
 SUPPORT_ABS_TOL = 1e-10
@@ -205,7 +213,8 @@ def reduced_hessian(net: Network, z_b) -> np.ndarray:
 
 
 def _reduced_hessian_at(net: Network, result: SolveResult) -> np.ndarray:
-    return _schur(net, _gp_vec(net, net.incidence.T @ result.z_full))[0]
+    z = result.z_full[net._edge_list.order]
+    return _schur(net, _gp_vec(net, _edge_values(net, z)))[0]
 
 
 def boundary_ids(net: Network) -> tuple[str, ...]:

@@ -10,6 +10,15 @@ Eliminating the central block of the weighted Laplacian H = D diag(w) D^T
 gives the reduced Laplacian H_BB - H_BC H_CC^{-1} H_CB (the Kron reduction
 of the network weighted by w) and the sensitivity dz_C/dz_B =
 -H_CC^{-1} H_CB; ``_schur`` forms both from one solve against H_CC.
+
+Every block comes from the edge-list scatter in ``potential``, in partition
+order, and every dense factorization or solve on it calls scipy's LAPACK:
+``dpotrf``/``dpotrs`` in the Newton loop and ``dgesv`` in ``_schur``.  numpy
+and scipy link separate OpenBLAS builds, and switching between them on a
+large block costs more than the factorization itself: on the 1020 x 1020
+grid-32 interior block (2-CPU box), scipy's ``dpotrf`` followed by
+``np.linalg.solve`` took 100 ms, against 40 ms when followed by scipy's
+``dgesv`` and 12 ms for ``dpotrf`` alone.
 """
 
 from __future__ import annotations
@@ -18,15 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import HomogeneityError, IntervalError, SolveError
 from .potential import (
     Network,
+    _edge_values,
     _first_violation,
     _g_vec,
     _gp_vec,
+    _laplacian,
+    _nodal_sums,
     dissipated_power,
     edge_label,
     edge_voltages,
@@ -51,9 +63,7 @@ class SolveResult:
 
 def _assemble(net: Network, z_c: np.ndarray, z_b: np.ndarray) -> np.ndarray:
     z = np.empty(net.graph.n)
-    z[list(net.partition.boundary)] = z_b
-    if len(net.partition.central):
-        z[list(net.partition.central)] = z_c
+    z[net._edge_list.order] = np.concatenate((z_b, z_c))
     return z
 
 
@@ -92,61 +102,56 @@ def solve_interior(
     solvability failure) or when steps cannot stay inside the box.
     """
     z_b = np.asarray(z_b, dtype=float)
-    boundary = list(net.partition.boundary)
-    central = list(net.partition.central)
-    if len(z_b) != len(boundary):
-        raise ValueError(f"expected {len(boundary)} boundary values, got {len(z_b)}")
-    d = net.incidence
+    n_b = len(net.partition.boundary)
+    n_c = len(net.partition.central)
+    if len(z_b) != n_b:
+        raise ValueError(f"expected {n_b} boundary values, got {len(z_b)}")
+    if init is None:
+        z_c = np.full(n_c, z_b.sum() / n_b)
+    else:
+        z_c = np.asarray(init, dtype=float)
+        if len(z_c) != n_c:
+            raise ValueError(f"expected {n_c} central values, got {len(z_c)}")
 
-    if not central:
-        z = _assemble(net, np.empty(0), z_b)
-        y = d.T @ z
-        bad = _first_violation(net, y)
+    def currents(yv):  # nodal currents in partition order
+        return _nodal_sums(net, _g_vec(net, yv))
+
+    y = _edge_values(net, np.concatenate((z_b, z_c)))
+    bad = _first_violation(net, y)
+    if not n_c:
         if bad >= 0:
             raise SolveError("boundary assignment leaves the validity interval",
                              edge=edge_label(net, bad))
-        j_full = d @ _g_vec(net, y)
-        return SolveResult(np.empty(0), j_full[boundary], 0, 0.0, True, z)
-
-    z_c = np.full(len(central), z_b.sum() / len(z_b)) if init is None else np.asarray(init, dtype=float)
-    y = d.T @ _assemble(net, z_c, z_b)
-    bad = _first_violation(net, y)
+        return SolveResult(z_c, currents(y), 0, 0.0, True, _assemble(net, z_c, z_b))
     if bad >= 0:
         raise SolveError("initial iterate outside the validity interval",
                          edge=edge_label(net, bad))
 
-    d_c = d[central, :]
-    y_b = d[boundary, :].T @ z_b  # boundary share of the edge values, fixed
-
-    def residual(yv):
-        return d_c @ _g_vec(net, yv)
-
     def partial():
-        return SolveResult(z_c, np.full(len(boundary), np.nan), iterations, res_norm, False,
+        return SolveResult(z_c, np.full(n_b, np.nan), iterations, res_norm, False,
                            _assemble(net, z_c, z_b))
 
-    r = residual(y)
-    res_norm = float(np.abs(r).max())
+    j = currents(y)
+    res_norm = float(np.abs(j[n_b:]).max())
     iterations = 0
     converged = res_norm <= tol
 
     while not converged and iterations < max_iter:
-        w = _gp_vec(net, y)
-        h_cc = (d_c * w) @ d_c.T
+        h_cc = _laplacian(net, _gp_vec(net, y))[n_b:, n_b:]
         try:
             factor = cho_factor(h_cc)
         except LinAlgError as exc:
             raise SolveError("interior Hessian factorization failed", result=partial()) from exc
-        step = -cho_solve(factor, r)
+        step = -cho_solve(factor, j[n_b:])
         t = 1.0
         last_bad = -1
         while True:
             trial = z_c + t * step
-            y_trial = y_b + d_c.T @ trial
+            y_trial = _edge_values(net, np.concatenate((z_b, trial)))
             bad = _first_violation(net, y_trial)
             if bad < 0:
-                r_trial = residual(y_trial)
-                trial_norm = float(np.abs(r_trial).max())
+                j_trial = currents(y_trial)
+                trial_norm = float(np.abs(j_trial[n_b:]).max())
                 if trial_norm <= (1.0 - ARMIJO_C * t) * res_norm:
                     break
             else:
@@ -160,7 +165,7 @@ def solve_interior(
                         edge=edge_label(net, last_bad),
                     )
                 raise SolveError("line search failed to reduce the residual", result=partial())
-        z_c, y, r, res_norm = trial, y_trial, r_trial, trial_norm
+        z_c, y, j, res_norm = trial, y_trial, j_trial, trial_norm
         iterations += 1
         converged = res_norm <= tol
 
@@ -170,45 +175,40 @@ def solve_interior(
             "(global solvability or validity-interval failure suspected)",
             result=partial(),
         )
-    j_full = d @ _g_vec(net, y)
-    return SolveResult(z_c, j_full[boundary], iterations, res_norm, True,
-                       _assemble(net, z_c, z_b))
+    return SolveResult(z_c, j[:n_b], iterations, res_norm, True, _assemble(net, z_c, z_b))
 
 
 def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced Laplacian and sensitivity of the network weighted by edge weights w.
 
-    From the boundary and central incidence rows, returns
-    (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB), both in partition order,
-    from a single LU solve against H_CC.  The solve is numpy's, not scipy's:
-    on large interiors, handing the numpy-built block to scipy's separately
-    linked OpenBLAS costs more than the factorization itself.  Raises
-    SolveError when a weight is not finite or H_CC is singular.
+    Scatters the partition-ordered Laplacian once, slices its blocks and
+    returns (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB), both in partition
+    order, from a single LU solve (scipy's ``dgesv``, the LAPACK the Newton
+    loop factors with) against H_CC.  Raises SolveError when a weight is not
+    finite or H_CC is singular.
     """
     finite = np.isfinite(w)
     if not finite.all():
         raise SolveError("edge weight is not finite", edge=edge_label(net, int(np.argmin(finite))))
-    d_b = net.incidence[list(net.partition.boundary)]
-    d_c = net.incidence[list(net.partition.central)]
-    h_bb = (d_b * w) @ d_b.T
-    if not len(d_c):
-        return h_bb, np.zeros((0, len(d_b)))
-    wd_c = d_c * w
-    h_cb = wd_c @ d_b.T
-    try:
-        s = -np.linalg.solve(wd_c @ d_c.T, h_cb)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError("interior Hessian is singular") from exc
-    return h_bb + h_cb.T @ s, s
+    n_b = len(net.partition.boundary)
+    lap = _laplacian(net, w)
+    h_bb = lap[:n_b, :n_b]
+    if n_b == len(lap):
+        return h_bb, np.zeros((0, n_b))
+    h_cb = lap[n_b:, :n_b]
+    _, _, x, info = dgesv(lap[n_b:, n_b:].T, h_cb, overwrite_a=1)  # .T: H_CC is symmetric
+    if info > 0:
+        raise SolveError("interior Hessian is singular")
+    return h_bb - h_cb.T @ x, -x
 
 
 def interior_hessian_check(net: Network, z) -> float:
     """Smallest eigenvalue of the interior Hessian block at z."""
-    d_c = net.incidence[list(net.partition.central)]
-    if not len(d_c):
+    n_b = len(net.partition.boundary)
+    if n_b == net.graph.n:
         return float("inf")
     w = _gp_vec(net, edge_voltages(net, z))
-    return float(np.linalg.eigvalsh((d_c * w) @ d_c.T).min())
+    return float(np.linalg.eigvalsh(_laplacian(net, w)[n_b:, n_b:]).min())
 
 
 def sensitivity(net: Network, z_b) -> np.ndarray:
@@ -218,8 +218,8 @@ def sensitivity(net: Network, z_b) -> np.ndarray:
     rows sum to one because shifting all boundary potentials shifts the
     interior solution by the same constant.
     """
-    result = solve_interior(net, z_b)
-    return _schur(net, _gp_vec(net, net.incidence.T @ result.z_full))[1]
+    z = solve_interior(net, z_b).z_full
+    return _schur(net, _gp_vec(net, _edge_values(net, z[net._edge_list.order])))[1]
 
 
 def reduced_potential(net: Network, z_b) -> float:

@@ -86,6 +86,14 @@ def test_check_flags_disconnected_graph(tmp_path, capsys):
     assert "disconnected" in out
 
 
+def test_check_one_node_network(tmp_path, capsys):
+    one = {"nodes": ["a"], "boundary": ["a"], "edges": []}
+    code = main(["check", write(tmp_path, "one.json", one)])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out
+    assert out.count("offdiag_max=0.00e+00") == 5 and "eig_2" not in out
+
+
 def test_check_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

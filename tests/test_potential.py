@@ -1,6 +1,7 @@
 """Potential assembly: K, nodal currents, weighted Laplacian, power."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 import kronred as kr
 from kronred.errors import IntervalError, SolveError
-from kronred.potential import _g_vec, _gp_vec, edge_label, edge_voltages
+from kronred.potential import (
+    _edge_values,
+    _g_vec,
+    _gp_vec,
+    _laplacian,
+    _nodal_sums,
+    edge_label,
+    edge_voltages,
+)
 from kronred.reduction import TableLaw
 
 from conftest import (
@@ -84,6 +93,47 @@ def test_weighted_laplacian_diode_pair_at_zero(diode_opposite):
 def test_weighted_laplacian_star_degree(linear_star):
     lap = kr.weighted_laplacian(linear_star, np.zeros(4))
     assert lap[0, 0] == pytest.approx(3.0)
+
+
+def _assert_edge_list_matches_incidence(net, rng):
+    order = list(net.partition.boundary + net.partition.central)
+    assert net._edge_list.order.tolist() == order
+    d = net.incidence[order]  # dense oracle, rows in partition order
+    w = rng.uniform(0.1, 3.0, net.graph.m)
+    dense = (d * w) @ d.T
+    assert np.abs(_laplacian(net, w) - dense).max() <= 1e-14 * np.abs(dense).max()
+    z = rng.uniform(-2.0, 2.0, net.graph.n)
+    assert np.abs(_edge_values(net, z) - d.T @ z).max() <= 1e-14 * np.abs(z).max()
+    g = rng.uniform(-2.0, 2.0, net.graph.m)
+    assert np.abs(_nodal_sums(net, g) - d @ g).max() <= 1e-14 * np.abs(g).sum()
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_edge_list_matches_dense_incidence(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, allow_parallel=True)
+    _assert_edge_list_matches_incidence(net, rng)
+    # a replaced partition (as effective_curve makes) gets its own view
+    perm = [int(i) for i in rng.permutation(net.graph.n)]
+    n_b = int(rng.integers(1, net.graph.n + 1))
+    moved = replace(net, partition=kr.NodePartition(tuple(perm[:n_b]), tuple(perm[n_b:])))
+    _assert_edge_list_matches_incidence(moved, rng)
+    # the public node-order products agree with the dense incidence too
+    d = moved.incidence
+    z = rng.uniform(-0.5, 0.5, moved.graph.n)
+    y = d.T @ z
+    np.testing.assert_allclose(edge_voltages(moved, z), y, rtol=0.0, atol=1e-15)
+    currents = _g_vec(moved, y)
+    j = kr.nodal_currents(moved, z)
+    assert np.abs(j - d @ currents).max() <= 1e-14 * np.abs(currents).sum()
+    dense_h = (d * _gp_vec(moved, y)) @ d.T
+    h = kr.weighted_laplacian(moved, z)
+    assert np.abs(h - dense_h).max() <= 1e-14 * np.abs(dense_h).max()
+
+
+def test_edge_voltages_checks_length(diode_opposite):
+    with pytest.raises(ValueError, match="expected 3 node values, got 4"):
+        edge_voltages(diode_opposite, np.zeros(4))
 
 
 def test_dissipated_power_linear_edge():

@@ -457,3 +457,31 @@ def test_reduced_network_view_evaluates(diode_opposite):
     j_direct = kr.nodal_currents(net, z_b)
     j_orig = kr.solve_interior(diode_opposite, z_b).j_b
     assert np.abs(j_direct - j_orig).max() <= 1e-7
+
+
+def grid_network(k, law):
+    """k x k grid, edges right then down from each node, corners as terminals."""
+    names = tuple(str(i) for i in range(k * k))
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            i = r * k + c
+            if c + 1 < k:
+                edges.append((names[i], names[i + 1]))
+            if r + 1 < k:
+                edges.append((names[i], names[i + k]))
+    corners = [names[i] for i in (0, k - 1, k * (k - 1), k * k - 1)]
+    laws = [kr.edge_law(law)] * len(edges)
+    return kr.build_network(kr.DirectedGraph(names, tuple(edges)), laws, corners)
+
+
+def test_grid_reduced_hessian_matches_finite_differences():
+    net = grid_network(10, "y + 0.1*sinh(y)")
+    z_b = np.array([0.7, -0.4, 0.2, -0.9])
+    h = kr.reduced_hessian(net, z_b)
+    scale = np.abs(h).max()
+    assert np.abs(h - h.T).max() <= 1e-12 * scale
+    assert np.abs(h.sum(axis=1)).max() <= 1e-12 * scale
+    assert (h - np.diag(np.diag(h))).max() <= 0.0
+    fd = finite_difference_jacobian(lambda v: kr.solve_interior(net, v).j_b, z_b, h=1e-4)
+    assert np.abs(fd - h).max() <= 1e-7

@@ -232,6 +232,12 @@ def test_min_heat_single_boundary_node():
     assert report.max_abs_difference <= 1e-6
 
 
+@pytest.mark.parametrize("init", [[], [0.1, 0.2]], ids=["too_short", "too_long"])
+def test_init_length_is_checked(diode_opposite, init):
+    with pytest.raises(ValueError, match=f"expected 1 central values, got {len(init)}"):
+        kr.solve_interior(diode_opposite, np.array([0.0, 1.0]), init=init)
+
+
 def test_non_finite_interior_hessian_is_solve_error():
     # g' of y + 0.5*sqrt(y^2) is 0/0 at y = 0, a point the certification grid
     # on (-8, 8.5) misses; the start z_0 = mean(z_B) = 0 lands on it
