@@ -264,6 +264,8 @@ def cmd_curve(args) -> int:
     unknown = [name for name in (a, b) if name not in loaded.network.graph.node_ids]
     if unknown:
         raise NetworkFileError(f"unknown node in --pair: {', '.join(unknown)}")
+    if not (np.isfinite(args.vmin) and np.isfinite(args.vmax)):
+        raise NetworkFileError("--vmin and --vmax must be finite")
     if args.points < 2 or not args.vmin < args.vmax:
         raise NetworkFileError("need points >= 2 and vmin < vmax")
     grid = np.linspace(args.vmin, args.vmax, args.points)

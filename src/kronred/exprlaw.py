@@ -4,8 +4,9 @@ A law is a scalar expression in the single variable ``y`` built from decimal
 literals, ``+ - * /``, integer powers ``^``, unary minus, and the smooth
 functions ``exp ln tanh sinh cosh sqrt``.  The grammar is closed under
 differentiation, so the derivative of any law is again a law.  Co-content
-(the anchored antiderivative with G(0) = 0) is computed by adaptive
-quadrature, never symbolically.
+(the anchored antiderivative with G(0) = 0) is computed numerically, never
+symbolically: by Gauss-Legendre panels over [0, y], bisected where two
+orders disagree, for a whole array of values y at once.
 
 Grammar::
 
@@ -23,12 +24,14 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvexityError, ExprSyntaxError, IntervalError
 
 DEFAULT_INTERVAL = (-8.0, 8.0)
 DEFAULT_CONVEXITY_SAMPLES = 4097
+COCONTENT_RTOL = 1e-13  # panel-estimate tolerance, relative to 1 + |G(y)|
+COCONTENT_DEPTH = 30  # most bisections of a panel
 
 FUNCTIONS = {
     "exp": np.exp,
@@ -481,20 +484,67 @@ def edge_law(
 
 
 def cocontent(law: EdgeLaw, y: float) -> float:
-    """G(y) = integral of g from 0 to y, by adaptive quadrature.
+    """G(y) = integral of g from 0 to y, anchored so G(0) = 0.
 
-    Anchored so G(0) = 0.  Absolute tolerance is well below 1e-10.
+    Raises IntervalError outside the law's validity interval.  The error is
+    well below 1e-10 (1 + |G(y)|); see ``_integrate``.
     """
     if not law.contains(y):
         raise IntervalError(y, law.validity_interval)
     if y == 0.0:
         return 0.0
-    value, _ = quad(
-        lambda v: float(evaluate(law.g, v)),
-        0.0,
-        float(y),
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return float(value)
+    return float(_integrate(law.g, np.array([float(y)]))[0])
+
+
+def _gauss_panel_rule(low: int, high: int):
+    """Nodes on [0, 1] of two Gauss-Legendre orders, and their weights as two rows."""
+    x_lo, w_lo = leggauss(low)
+    x_hi, w_hi = leggauss(high)
+    nodes = 0.5 * (np.concatenate([x_lo, x_hi]) + 1.0)
+    weights = np.zeros((2, low + high))
+    weights[0, :low] = 0.5 * w_lo
+    weights[1, low:] = 0.5 * w_hi
+    return nodes, weights
+
+
+_NODES, _WEIGHTS = _gauss_panel_rule(10, 20)
+_NOISE = 64.0 * np.finfo(float).eps
+
+
+def _integrate(g: Expr, y: np.ndarray) -> np.ndarray:
+    """Integral of g from 0 to each entry of y, by bisected Gauss-Legendre panels.
+
+    Every panel of [0, y] is integrated at orders 10 and 20 from one ``evaluate``
+    call over all panels of all entries.  A panel is accepted with its order-20
+    value once the two orders agree to COCONTENT_RTOL (1 + |first estimate|)
+    times the panel's share of [0, y], or to rounding noise in the panel's sum,
+    or when its values are not finite; the others are halved, at most
+    COCONTENT_DEPTH times.  The order-10 gap overstates the order-20 error by
+    orders of magnitude, so the result is far inside the tolerance.
+    """
+    total = np.zeros(len(y))
+    owner = np.arange(len(y))
+    start = np.zeros(len(y))
+    share = np.ones(len(y))
+    scale = None
+    for depth in range(COCONTENT_DEPTH + 1):
+        span = share * y[owner]
+        points = y[owner, None] * (start[:, None] + share[:, None] * _NODES)
+        values = np.broadcast_to(evaluate(g, points), points.shape)
+        low, high = (values @ _WEIGHTS.T * span[:, None]).T
+        if scale is None:
+            scale = 1.0 + np.where(np.isfinite(high), np.abs(high), 0.0)
+        noise = _NOISE * (np.abs(values) @ _WEIGHTS[1]) * np.abs(span)
+        gap = np.abs(high - low)
+        done = ~(gap > np.maximum(COCONTENT_RTOL * scale[owner] * share, noise))
+        if depth == COCONTENT_DEPTH:
+            done[:] = True
+        np.add.at(total, owner[done], high[done])
+        if done.all():
+            break
+        split = ~done
+        owner = np.repeat(owner[split], 2)
+        share = np.repeat(0.5 * share[split], 2)
+        start = np.repeat(start[split], 2)
+        start[1::2] += share[1::2]
+    return total

@@ -5,12 +5,13 @@ the vector of nodal currents D g(D^T z) and its Hessian is the weighted
 Laplacian D diag(g'(D^T z)) D^T, so K is convex and shift invariant.
 
 None of these products uses the dense n x m incidence matrix D, which
-``Network.incidence`` keeps for callers.  Each network caches its edge list
-in partition order (boundary nodes first, then central): D^T z is a gather
-z[head] - z[tail], D g is a scatter-add of g at the heads minus the tails,
-and D diag(w) D^T is one scatter-add of the four entries +w, +w, -w, -w per
-edge into n x n, so its boundary and central blocks are plain slices.  That
-is O(m + n^2) work instead of the O(n^2 m) of a dense product.
+``Network.incidence`` builds for callers on first read.  Each network
+caches its edge list in partition order (boundary nodes first, then
+central): D^T z is a gather z[head] - z[tail], D g is a scatter-add of g
+at the heads minus the tails, and D diag(w) D^T is one scatter-add of the
+four entries +w, +w, -w, -w per edge into n x n, so its boundary and
+central blocks are plain slices.  That is O(m + n^2) work instead of the
+O(n^2 m) of a dense product.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphStructureError, IntervalError
-from .exprlaw import EdgeLaw, evaluate
+from .exprlaw import EdgeLaw, _integrate, evaluate
 from .graph import DirectedGraph, build_incidence, is_connected
 
 
@@ -81,9 +82,13 @@ class Network:
     """Connected directed graph with one certified monotone law per edge."""
 
     graph: DirectedGraph
-    incidence: np.ndarray
     laws: tuple
     partition: NodePartition
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Dense n x m incidence matrix, built on first read; no product here uses it."""
+        return build_incidence(self.graph)
 
     @cached_property
     def _law_index(self) -> _LawIndex:
@@ -127,7 +132,7 @@ def build_network(graph: DirectedGraph, laws, boundary_ids) -> Network:
         raise ValueError("duplicate boundary node")
     central = tuple(i for i in range(graph.n) if i not in set(boundary))
     partition = NodePartition(boundary, central)
-    return Network(graph, build_incidence(graph), laws, partition)
+    return Network(graph, laws, partition)
 
 
 def edge_label(net: Network, j: int) -> str:
@@ -204,9 +209,15 @@ def _gp_vec(net: Network, y: np.ndarray) -> np.ndarray:
 
 
 def k_value(net: Network, z: np.ndarray) -> float:
-    """Total co-content K(z), anchored so K vanishes when all edge values do."""
+    """Total co-content K(z), anchored so K vanishes when all edge values do.
+
+    Edges sharing a parsed law are integrated by one array call; other laws,
+    such as tables, by their own ``cocontent``.
+    """
     y = edge_voltages(net, z)
-    return float(sum(law.cocontent(float(y[j])) for j, law in enumerate(net.laws)))
+    index = net._law_index
+    total = sum(float(_integrate(g, y[idx]).sum()) for g, _, idx in index.exprs)
+    return float(total + sum(law.cocontent(float(y[j])) for j, law in index.others))
 
 
 def nodal_currents(net: Network, z: np.ndarray) -> np.ndarray:

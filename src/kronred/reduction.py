@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from .cubic import HermiteCubic, spline
 from .errors import AssumptionError, NonQuadraticLawError, SolveError
 from .exprlaw import differentiate, evaluate
 from .graph import (
@@ -89,26 +89,26 @@ class SamplingPlan:
 # Monotone tables
 
 
-def monotone_cubic(x: np.ndarray, y: np.ndarray):
+def monotone_cubic(x: np.ndarray, y: np.ndarray) -> HermiteCubic:
     """Monotone piecewise-cubic Hermite interpolant of increasing data.
 
-    Slopes come from a C2 cubic spline and are then limited to the
-    Fritsch-Carlson box [0, 3 min(adjacent secants)], which guarantees the
-    interpolant is monotone while keeping near-spline accuracy wherever the
-    limiter does not bind.
+    Slopes are the derivative of the C2 not-a-knot cubic spline at the
+    knots, limited to the Fritsch-Carlson box [0, 3 min(adjacent secants)],
+    which guarantees the interpolant is monotone while keeping near-spline
+    accuracy wherever the limiter does not bind.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two samples to interpolate")
     secants = np.diff(y) / np.diff(x)
-    slopes = CubicSpline(x, y).derivative()(x)
+    slopes = spline(x, y).derivative(x)
     limit = np.empty_like(slopes)
     limit[0] = 3.0 * secants[0]
     limit[-1] = 3.0 * secants[-1]
     limit[1:-1] = 3.0 * np.minimum(secants[:-1], secants[1:])
     slopes = np.clip(slopes, 0.0, limit)
-    return CubicHermiteSpline(x, y, slopes)
+    return HermiteCubic(x, y, slopes)
 
 
 class TableLaw:
@@ -116,8 +116,10 @@ class TableLaw:
 
     Provides the same evaluation protocol as a parsed law: g_at, gp_at,
     cocontent (anchored at 0), contains, validity_interval and a sampled
-    convexity margin.  An extrapolation pad of TABLE_PAD times the sampled
-    range at each end keeps held-out evaluation robust.
+    convexity margin.  All three are the ``monotone_cubic`` interpolant, its
+    exact derivative and its exact antiderivative.  An extrapolation pad of
+    TABLE_PAD times the sampled range at each end keeps held-out evaluation
+    robust.
     """
 
     kind = "table"
@@ -126,13 +128,11 @@ class TableLaw:
         self.y = np.asarray(y, dtype=float)
         self.current = np.asarray(current, dtype=float)
         self._f = monotone_cubic(self.y, self.current)
-        self._fp = self._f.derivative()
-        self._anti = self._f.antiderivative()
-        self._anchor = float(self._anti(0.0))
+        self._anchor = float(self._f.antiderivative(0.0))
         pad = TABLE_PAD * (self.y[-1] - self.y[0])
         self.validity_interval = (float(self.y[0] - pad), float(self.y[-1] + pad))
         grid = np.linspace(self.y[0], self.y[-1], 513)
-        self.convexity_margin = float(np.min(self._fp(grid)))
+        self.convexity_margin = float(np.min(self._f.derivative(grid)))
         self.source = f"table[{len(self.y)}]"
 
     def contains(self, y: float) -> bool:
@@ -143,10 +143,10 @@ class TableLaw:
         return self._f(y)
 
     def gp_at(self, y):
-        return self._fp(y)
+        return self._f.derivative(y)
 
     def cocontent(self, y: float) -> float:
-        return float(self._anti(y) - self._anchor)
+        return float(self._f.antiderivative(y) - self._anchor)
 
 
 @dataclass
@@ -166,7 +166,7 @@ class EdgeTable:
 
 def _make_table(y: np.ndarray, current: np.ndarray) -> EdgeTable:
     law = TableLaw(y, current)
-    g = law._anti(y) - law._anchor
+    g = law._f.antiderivative(y) - law._anchor
     return EdgeTable(np.asarray(y, float), np.asarray(current, float), g, law)
 
 
@@ -352,10 +352,10 @@ def _integrate_slopes(ys: np.ndarray, ws: np.ndarray, context: str):
     """Table nodes of one edge and its law's integral from 0 to each node.
 
     The sampled (value, slope) pairs are sorted and merged as pooled
-    currents are, interpolated by a C2 cubic spline and integrated exactly
-    between nodes.  Each increment is floored at the smallest positive
-    sampled slope times the gap, so the integral is strictly increasing
-    even where the spline dips.  The value 0 becomes a node unless a
+    currents are, interpolated by the C2 not-a-knot cubic spline
+    (``cubic.spline``) and integrated exactly between nodes.  Each
+    increment is floored at the smallest positive sampled slope times the
+    gap, so the integral is strictly increasing even where the spline dips.  The value 0 becomes a node unless a
     merged sample lies within MERGE_WINDOW of it; the integral is 0 there.
     """
     order = np.argsort(ys, kind="stable")
@@ -365,7 +365,7 @@ def _integrate_slopes(ys: np.ndarray, ws: np.ndarray, context: str):
     positive = ws[ws > 0]
     if not positive.size:
         raise AssumptionError(f"{context}: no sampled weight is positive")
-    antiderivative = CubicSpline(y, w).antiderivative()
+    antiderivative = spline(y, w).antiderivative
     zero = int(np.argmin(np.abs(y)))
     if abs(y[zero]) > MERGE_WINDOW:
         zero = int(np.searchsorted(y, 0.0))

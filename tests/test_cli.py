@@ -207,6 +207,9 @@ def test_reduce_flags_unaccepted_cyclic_fit(tmp_path, capsys):
     ["reduce", "diode_opposite", "--range", "0"],
     ["curve", "diode_opposite", "--pair", "1,1"],
     ["curve", "diode_opposite", "--pair", "1,9"],
+    ["curve", "diode_opposite", "--pair", "1,2", "--vmax", "inf"],
+    ["curve", "diode_opposite", "--pair", "1,2", "--vmin=-inf"],
+    ["curve", "diode_opposite", "--pair", "1,2", "--vmin", "nan"],
 ])
 def test_bad_option_values_are_usage_errors(argv, capsys):
     verb, name, *options = argv

@@ -1,15 +1,18 @@
 """Law DSL: parsing, differentiation, co-content, convexity certification."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import kronred as kr
 from kronred.errors import ConvexityError, ExprSyntaxError, IntervalError
 from kronred.exprlaw import (
+    EdgeLaw,
     Num,
     cocontent,
     differentiate,
@@ -20,7 +23,7 @@ from kronred.exprlaw import (
     to_text,
 )
 
-from conftest import LAW_POOL, simpson_integral
+from conftest import LAW_POOL, NETWORKS_DIR, simpson_integral
 
 
 def test_parse_and_eval_exp_law():
@@ -178,6 +181,38 @@ def test_cocontent_is_convex(text, y1, y2, t):
     lhs = cocontent(law, mid)
     rhs = t * cocontent(law, y1) + (1 - t) * cocontent(law, y2)
     assert lhs <= rhs + 1e-9
+
+
+def _quad_cocontent(g, y: float):
+    """scipy's adaptive quadrature of g from 0 to y: the co-content oracle."""
+    return quad(lambda v: float(evaluate(g, v)), 0.0, y, epsabs=1e-13, epsrel=1e-13, limit=500)
+
+
+def _shipped_laws():
+    laws = set()
+    for path in NETWORKS_DIR.glob("*.json"):
+        for edge in json.loads(path.read_text(encoding="utf-8"))["edges"]:
+            laws.add((edge["law"], edge.get("kind", "conductance"), tuple(edge.get("interval", (-8, 8)))))
+    return sorted(laws)
+
+
+@pytest.mark.parametrize("key", _shipped_laws(), ids=lambda key: f"{key[0]} {key[1]} {key[2]}")
+def test_cocontent_matches_quad_on_shipped_laws(key):
+    text, kind, interval = key
+    law = edge_law(text, kind=kind, interval=interval)
+    for y in np.linspace(*law.validity_interval, 200):  # ends included
+        oracle, _ = _quad_cocontent(law.g, float(y))
+        assert abs(cocontent(law, float(y)) - oracle) <= 1e-10 * (1.0 + abs(oracle)), (text, y)
+
+
+@given(st.recursive(_atoms, _combine, max_leaves=6), st.floats(-1.5, 1.5))
+def test_cocontent_matches_quad_on_random_laws(e, y):
+    # uncertified on purpose: the integral does not need a monotone law
+    law = EdgeLaw(e, differentiate(e), "conductance", (-1.5, 1.5), 0.0)
+    oracle, abserr = _quad_cocontent(e, y)
+    if not (np.isfinite(oracle) and abserr <= 1e-12 * (1.0 + abs(oracle))):
+        return  # quad itself is not sure of the value
+    assert abs(cocontent(law, y) - oracle) <= 1e-10 * (1.0 + abs(oracle))
 
 
 def test_cocontent_derivative_is_g():

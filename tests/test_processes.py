@@ -1,0 +1,85 @@
+"""Fresh-interpreter runs: what each CLI verb imports, and the example scripts."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kronred.cli import main
+
+from conftest import NETWORKS_DIR
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# scipy subpackages that only `power --min-heat` may load
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse")
+
+CHILD = f"""
+import json, sys
+if sys.argv[1:]:
+    from kronred.cli import main
+    code = main(sys.argv[1:])
+else:
+    import kronred
+    code = 0
+sys.stdout.flush()
+print(json.dumps(sorted(m for m in {HEAVY!r} if m in sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run(args, **kw):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120, **kw)
+
+
+def _net(name):
+    return str(NETWORKS_DIR / f"{name}.json")
+
+
+@pytest.fixture(scope="module")
+def reduced_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reduced") / "diode_same_reduced.json"
+    assert main(["reduce", _net("diode_same"), "--samples", "64", "--out", str(path)]) == 0
+    return str(path)
+
+
+VERBS = {
+    "import": ([], (0,)),
+    "check": (["check", _net("diode_opposite")], (0,)),
+    "solve": (["solve", _net("diode_opposite"), "1=1", "2=0"], (0,)),
+    "reduce-sampled": (["reduce", _net("diode_same"), "--samples", "16"], (0,)),
+    "reduce-linear": (["reduce", _net("triangle_center")], (0,)),
+    "reduce-ring": (["reduce", _net("diode_ring"), "--samples", "16"], (0, 4)),
+    "curve": (["curve", _net("diode_opposite"), "--pair", "1,2", "--points", "5"], (0,)),
+    "curve-reduced": (["curve", "REDUCED", "--pair", "1,2", "--vmin", "-1", "--vmax", "1",
+                       "--points", "5"], (0,)),
+    "solve-reduced": (["solve", "REDUCED", "1=0.5", "2=0"], (0,)),
+    "power": (["power", _net("linear_series"), "0=0.5", "1=1", "2=0"], (0,)),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_verb_loads_scipy_linalg_only(verb, reduced_file):
+    argv, codes = VERBS[verb]
+    argv = [reduced_file if arg == "REDUCED" else arg for arg in argv]
+    done = _run(["-c", CHILD, *argv])
+    assert done.returncode in codes, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == []
+
+
+def test_min_heat_still_runs():
+    done = _run(["-m", "kronred.cli", "power", _net("linear_series"), "1=1", "2=0", "--min-heat"])
+    assert done.returncode == 0, done.stderr
+    assert "max |difference|" in done.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[path.name for path in SCRIPTS])
+def test_script_runs(script, tmp_path):
+    done = _run([str(script)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
