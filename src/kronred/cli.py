@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,8 @@ from .errors import (
     NetworkFileError,
     SolveError,
 )
-from .graph import DirectedGraph, is_connected
-from .netfile import (
-    build_edge_law,
-    dump_reduced,
-    load_document,
-    load_network,
-    parse_document,
-)
+from .graph import is_connected
+from .netfile import certify_edges, dump_reduced, load_document, load_network, parse_document
 from .potential import (
     build_network,
     dissipated_power,
@@ -72,6 +67,20 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextmanager
+def _output(path: str):
+    """The ``--out`` file, opened for writing before any work is done, or stdout if empty."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise NetworkFileError(f"cannot write --out: {exc.strerror}", path) from exc
+    with handle:
+        yield handle
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -81,20 +90,6 @@ class CheckItem:
     name: str
     passed: bool
     measured: str
-
-
-@dataclass
-class DiagnosticReport:
-    items: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def lines(self):
-        for item in self.items:
-            status = "PASS" if item.passed else "FAIL"
-            yield f"{status}  {item.name}: {item.measured}"
 
 
 def _structure_items(net, rng) -> list[CheckItem]:
@@ -130,35 +125,24 @@ def _structure_items(net, rng) -> list[CheckItem]:
 
 
 def cmd_check(args) -> int:
-    try:
-        document = parse_document(load_document(args.file), location=args.file)
-    except NetworkFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    document = parse_document(load_document(args.file), location=args.file)
+    graph, laws = certify_edges(document)
     items = []
-    laws = []
-    laws_ok = True
-    for edge in document.edges:
-        label = f"{edge.tail}->{edge.head}"
-        try:
-            law = build_edge_law(edge)
-            laws.append(law)
-            items.append(CheckItem(f"convexity margin {label}", True,
-                                   f"min g' = {law.convexity_margin:.6e}"))
-        except (ConvexityError, NetworkFileError) as exc:
-            laws_ok = False
-            items.append(CheckItem(f"convexity margin {label}", False, str(exc)))
-    graph = DirectedGraph(document.nodes, tuple((e.tail, e.head) for e in document.edges))
+    for edge, law in zip(document.edges, laws):
+        name = f"convexity margin {edge.tail}->{edge.head}"
+        if isinstance(law, ConvexityError):
+            items.append(CheckItem(name, False, str(law)))
+        else:
+            items.append(CheckItem(name, True, f"min g' = {law.convexity_margin:.6e}"))
     connected = is_connected(graph)
     items.append(CheckItem("connectivity", connected,
                            "connected" if connected else "graph is disconnected"))
-    if laws_ok and connected:
+    if all(item.passed for item in items):
         net = build_network(graph, laws, document.boundary)
         items.extend(_structure_items(net, np.random.default_rng(0)))
-    report = DiagnosticReport(items)
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    for item in items:
+        print(f"{'PASS' if item.passed else 'FAIL'}  {item.name}: {item.measured}")
+    return EXIT_OK if all(item.passed for item in items) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +150,21 @@ def cmd_check(args) -> int:
 
 
 def _parse_assignments(pairs, expected_names, what) -> np.ndarray:
+    """Values of ``name=value`` pairs in ``expected_names`` order; each name once, finite."""
     values = {}
     for pair in pairs:
         if "=" not in pair:
             raise NetworkFileError(f"malformed assignment {pair!r} (want name=value)")
         name, _, text = pair.partition("=")
         try:
-            values[name] = float(text)
+            value = float(text)
         except ValueError as exc:
             raise NetworkFileError(f"bad value in assignment {pair!r}") from exc
+        if not np.isfinite(value):
+            raise NetworkFileError(f"non-finite value in assignment {pair!r}")
+        if name in values:
+            raise NetworkFileError(f"node {name!r} is assigned twice")
+        values[name] = value
     missing = [name for name in expected_names if name not in values]
     if missing:
         raise NetworkFileError(f"missing {what} assignment for: {', '.join(missing)}")
@@ -190,11 +180,7 @@ def cmd_solve(args) -> int:
     labels = LABELS[loaded.domain]
     names = [net.graph.node_ids[i] for i in net.partition.boundary]
     z_b = _parse_assignments(args.assignments, names, "boundary")
-    try:
-        result = solve_interior(net, z_b)
-    except SolveError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = solve_interior(net, z_b)
     for idx, node in enumerate(net.partition.central):
         print(f"{labels['potential']} z_C[{net.graph.node_ids[node]}] = {fmt(result.z_c[idx])}")
     for idx, name in enumerate(names):
@@ -216,30 +202,25 @@ def cmd_reduce(args) -> int:
         raise NetworkFileError("--samples must be at least 2")
     if not 0.0 < args.range < float("inf"):
         raise NetworkFileError("--range must be positive and finite")
+    if args.seed < 0:
+        raise NetworkFileError("--seed must be non-negative")
     loaded = load_network(args.file)
     plan = SamplingPlan(count=args.samples, scale=args.range, seed=args.seed)
-
-    def emit(text: str):
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-
-    try:
-        reduced = reduce_network(loaded.network, plan)
-    except (SolveError, AssumptionError) as exc:
-        failure = {
-            "domain": loaded.domain,
-            "reduced": True,
-            "error": str(exc),
-            "certificate": {"failed": True, "reason": str(exc)},
-            "sampling": {"count": plan.count, "scale": plan.scale, "seed": plan.seed},
-        }
-        emit(json.dumps(failure, indent=2) + "\n")
-        print(f"reduction failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER if isinstance(exc, SolveError) else EXIT_ASSUMPTION
-    emit(dump_reduced(reduced, loaded.domain, plan))
+    with _output(args.out) as out:
+        try:
+            reduced = reduce_network(loaded.network, plan)
+        except (SolveError, AssumptionError) as exc:
+            failure = {
+                "domain": loaded.domain,
+                "reduced": True,
+                "error": str(exc),
+                "certificate": {"failed": True, "reason": str(exc)},
+                "sampling": {"count": plan.count, "scale": plan.scale, "seed": plan.seed},
+            }
+            out.write(json.dumps(failure, indent=2) + "\n")
+            print(f"reduction failed: {exc}", file=sys.stderr)
+            return EXIT_SOLVER if isinstance(exc, SolveError) else EXIT_ASSUMPTION
+        out.write(dump_reduced(reduced, loaded.domain, plan))
     cert = reduced.certificate
     if not cert.support_stable or cert.accepted is False:
         print("assumption certificate flagged "
@@ -269,9 +250,8 @@ def cmd_curve(args) -> int:
     if args.points < 2 or not args.vmin < args.vmax:
         raise NetworkFileError("need points >= 2 and vmin < vmax")
     grid = np.linspace(args.vmin, args.vmax, args.points)
-    points = effective_curve(loaded.network, a, b, grid)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
+        points = effective_curve(loaded.network, a, b, grid)
         out.write("V,I,Ghat\n")
         failures = 0
         for p in points:
@@ -280,9 +260,6 @@ def cmd_curve(args) -> int:
             else:
                 failures += 1
                 out.write(f"{fmt(p.v)},failed,failed\n")
-    finally:
-        if args.out:
-            out.close()
     if failures:
         print(f"{failures} of {len(points)} solves failed", file=sys.stderr)
         return EXIT_SOLVER
@@ -294,6 +271,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_power(args) -> int:
+    if args.min_heat and not np.isfinite(args.degree):
+        raise NetworkFileError("--degree must be finite")
     loaded = load_network(args.file)
     net = loaded.network
     labels = LABELS[loaded.domain]
@@ -305,9 +284,6 @@ def cmd_power(args) -> int:
         except HomogeneityError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        except SolveError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
         print(f"homogeneity degree = {fmt(report.degree)} (verified by sampling)")
         for idx, node in enumerate(net.partition.central):
             name = net.graph.node_ids[node]

@@ -437,15 +437,12 @@ class EdgeLaw:
         return cocontent(self, y)
 
 
-def scan_convexity(
-    g_prime: Expr,
-    interval: tuple[float, float],
-    samples: int = DEFAULT_CONVEXITY_SAMPLES,
-) -> tuple[float, float | None]:
-    """Sample g' on a uniform grid; return (min value, first violating y or None)."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    grid = np.linspace(interval[0], interval[1], samples)
+def scan_convexity(g_prime: Expr, interval: tuple[float, float]) -> tuple[float, float | None]:
+    """Sample g' on a uniform grid of DEFAULT_CONVEXITY_SAMPLES points.
+
+    Returns (min value, first violating y or None).
+    """
+    grid = np.linspace(interval[0], interval[1], DEFAULT_CONVEXITY_SAMPLES)
     values = np.broadcast_to(np.asarray(evaluate(g_prime, grid), dtype=float), grid.shape)
     bad = ~(np.isfinite(values) & (values > 0.0))
     if bad.any():
@@ -458,13 +455,13 @@ def edge_law(
     text: str,
     kind: str = "conductance",
     interval: tuple[float, float] = DEFAULT_INTERVAL,
-    samples: int = DEFAULT_CONVEXITY_SAMPLES,
 ) -> EdgeLaw:
     """Build a certified EdgeLaw from law text.
 
     ``kind="conductance"`` treats the text as g itself; ``kind="cocontent"``
     differentiates once to get g.  The validity interval must straddle 0 so
-    the quadrature anchor G(0) = 0 is inside it.
+    the quadrature anchor G(0) = 0 is inside it.  g' is certified positive
+    by ``scan_convexity``; a violation raises ConvexityError.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < 0.0 < hi:
@@ -477,7 +474,7 @@ def edge_law(
     else:
         raise ValueError(f"unknown law kind {kind!r}")
     g_prime = differentiate(g)
-    margin, violation = scan_convexity(g_prime, (lo, hi), samples)
+    margin, violation = scan_convexity(g_prime, (lo, hi))
     if violation is not None:
         raise ConvexityError(violation, margin, text)
     return EdgeLaw(g, g_prime, kind, (lo, hi), margin, text)

@@ -87,14 +87,13 @@ def is_acyclic(g: DirectedGraph) -> bool:
 def graph_from_laplacian(
     laplacian: np.ndarray,
     node_ids: tuple[str, ...] | list[str],
-    edge_tol: float | None = None,
 ) -> tuple[DirectedGraph, np.ndarray]:
     """Recover a simple weighted graph from a Laplacian sign pattern.
 
-    One edge per strictly negative off-diagonal entry, weight -L[i, k],
-    oriented lowest-index-node = tail.  Validates symmetry, zero row sums,
-    and nonpositive off-diagonals; checks the reconstruction D W D^T
-    reproduces L within 1e-8 * (1 + max|L|).
+    One edge per off-diagonal entry below -(1e-10 + 1e-9 max|diag L|),
+    weight -L[i, k], oriented lowest-index-node = tail.  Validates
+    symmetry, zero row sums, and nonpositive off-diagonals; checks the
+    reconstruction D W D^T reproduces L within 1e-8 * (1 + max|L|).
     """
     L = np.asarray(laplacian, dtype=float)
     n = L.shape[0]
@@ -108,8 +107,7 @@ def graph_from_laplacian(
     if np.abs(row_sums).max(initial=0.0) > tol:
         i = int(np.argmax(np.abs(row_sums)))
         raise GraphStructureError(f"row {i} sums to {row_sums[i]!r}, not 0")
-    if edge_tol is None:
-        edge_tol = 1e-10 + 1e-9 * (np.abs(np.diag(L)).max() if n else 0.0)
+    edge_tol = 1e-10 + 1e-9 * (np.abs(np.diag(L)).max() if n else 0.0)
     edges = []
     weights = []
     for i in range(n):

@@ -58,7 +58,6 @@ class ParsedDocument:
     boundary: tuple[str, ...]
     edges: list[ParsedEdge]
     reduced: bool
-    raw: dict
 
 
 @dataclass
@@ -78,7 +77,10 @@ def _require(data: dict, key: str, kind, location: str):
 
 
 def parse_document(data: dict, location: str = "document") -> ParsedDocument:
-    """Validate structure and law syntax; numeric certification happens later."""
+    """Validate structure and law syntax; numeric certification happens later.
+
+    Each distinct law text is parsed once, at its first edge.
+    """
     if not isinstance(data, dict):
         raise NetworkFileError("top level must be an object", location)
     domain = data.get("domain", "resistor")
@@ -101,6 +103,7 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
         raise NetworkFileError("duplicate boundary node", f"{location}.boundary")
     raw_edges = _require(data, "edges", list, location)
     edges = []
+    parsed_texts = set()
     for idx, entry in enumerate(raw_edges):
         loc = f"{location}.edges[{idx}]"
         if not isinstance(entry, dict):
@@ -141,12 +144,14 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
             parsed.law_text = law_text
             parsed.kind = kind
             parsed.interval = (lo, hi)
-            try:  # syntax only; convexity is certified at assembly
-                parse_law(law_text)
-            except ExprSyntaxError as exc:
-                raise NetworkFileError(f"law does not parse: {exc}", loc) from exc
+            if law_text not in parsed_texts:
+                try:  # syntax only; convexity is certified at assembly
+                    parse_law(law_text)
+                except ExprSyntaxError as exc:
+                    raise NetworkFileError(f"law does not parse: {exc}", loc) from exc
+                parsed_texts.add(law_text)
         edges.append(parsed)
-    return ParsedDocument(domain, tuple(nodes), tuple(boundary), edges, reduced, data)
+    return ParsedDocument(domain, tuple(nodes), tuple(boundary), edges, reduced)
 
 
 def build_edge_law(edge: ParsedEdge):
@@ -159,15 +164,34 @@ def build_edge_law(edge: ParsedEdge):
     return edge_law(edge.law_text, kind=edge.kind, interval=edge.interval)
 
 
+def certify_edges(document: ParsedDocument) -> tuple[DirectedGraph, list]:
+    """The document's graph and, per edge, its certified law or the ConvexityError refusing it.
+
+    Each distinct (law text, kind, interval) is certified once, and every
+    edge that carries it shares the one law object, or the one error; each
+    table is certified on its own.
+    """
+    certified: dict = {}
+    laws = []
+    for index, edge in enumerate(document.edges):
+        # a table is keyed by its edge's index, so it is never shared
+        key = index if edge.table is not None else (edge.law_text, edge.kind, edge.interval)
+        if key not in certified:
+            try:
+                certified[key] = build_edge_law(edge)
+            except ConvexityError as exc:
+                certified[key] = exc
+        laws.append(certified[key])
+    graph = DirectedGraph(document.nodes, tuple((e.tail, e.head) for e in document.edges))
+    return graph, laws
+
+
 def assemble(document: ParsedDocument) -> LoadedNetwork:
     """Certify all laws and build the Network; raises on any failure."""
-    laws = []
-    for edge in document.edges:
-        try:
-            laws.append(build_edge_law(edge))
-        except ConvexityError as exc:
-            raise NetworkFileError(f"law is not strictly monotone: {exc}", edge.location) from exc
-    graph = DirectedGraph(document.nodes, tuple((e.tail, e.head) for e in document.edges))
+    graph, laws = certify_edges(document)
+    for edge, law in zip(document.edges, laws):
+        if isinstance(law, ConvexityError):
+            raise NetworkFileError(f"law is not strictly monotone: {law}", edge.location) from law
     network = build_network(graph, laws, document.boundary)
     return LoadedNetwork(network, document.domain, document.reduced)
 

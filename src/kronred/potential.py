@@ -175,16 +175,15 @@ def _node_order(net: Network, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def edge_voltages(net: Network, z: np.ndarray, check: bool = True) -> np.ndarray:
-    """y = D^T z, validated against each law's validity interval."""
+def edge_voltages(net: Network, z: np.ndarray) -> np.ndarray:
+    """y = D^T z; raises IntervalError when a value leaves its law's validity interval."""
     z = np.asarray(z, dtype=float)
     if len(z) != net.graph.n:
         raise ValueError(f"expected {net.graph.n} node values, got {len(z)}")
     y = _edge_values(net, z[net._edge_list.order])
-    if check:
-        j = _first_violation(net, y)
-        if j >= 0:
-            raise IntervalError(float(y[j]), net.laws[j].validity_interval, edge_label(net, j))
+    j = _first_violation(net, y)
+    if j >= 0:
+        raise IntervalError(float(y[j]), net.laws[j].validity_interval, edge_label(net, j))
     return y
 
 

@@ -47,9 +47,11 @@ CONSISTENCY_DY = 1e-9
 CONSISTENCY_DI = 1e-7
 MERGE_WINDOW = 1e-7
 ACCEPT_RESIDUAL = 1e-6
-LINEAR_TABLE_SPAN = 4.0
+LINEAR_TABLE_SPAN = 4.0  # exact linear tables cover [-span, span]
+LINEAR_TABLE_POINTS = 33
 TABLE_PAD = 0.02  # table validity extends this fraction of its span past each end
 HOLDOUT_SHRINK = 0.8  # held-out box, relative to the sampling box
+HOLDOUT_COUNT = 50  # held-out samples per residual
 INTEGRABILITY_STEP = 1e-3
 INTEGRABILITY_POINTS = 4
 
@@ -64,9 +66,9 @@ class SamplingPlan:
 
     Samples are drawn uniformly in [-scale, scale]^{n_B} and the last
     component is subtracted (shift invariance makes one representative per
-    gauge orbit sufficient).  Held-out samples come from a disjoint seed
-    and a box HOLDOUT_SHRINK times as large, so they stay inside the
-    recovered tables.
+    gauge orbit sufficient).  HOLDOUT_COUNT held-out samples come from a
+    disjoint seed and a box HOLDOUT_SHRINK times as large, so they stay
+    inside the recovered tables.
     """
 
     count: int = 64
@@ -78,10 +80,10 @@ class SamplingPlan:
         u = rng.uniform(-self.scale, self.scale, (self.count, n_boundary))
         return u - u[:, -1:]
 
-    def holdout_samples(self, n_boundary: int, count: int = 50) -> np.ndarray:
+    def holdout_samples(self, n_boundary: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed + 9973)
         half = HOLDOUT_SHRINK * self.scale
-        u = rng.uniform(-half, half, (count, n_boundary))
+        u = rng.uniform(-half, half, (HOLDOUT_COUNT, n_boundary))
         return u - u[:, -1:]
 
 
@@ -151,16 +153,14 @@ class TableLaw:
 
 @dataclass
 class EdgeTable:
-    """Strictly increasing (value, current) samples plus anchored co-content."""
+    """Strictly increasing (value, current) samples, anchored co-content and their law."""
 
     y: np.ndarray
     current: np.ndarray
     cocontent: np.ndarray
-    _law: TableLaw | None = field(default=None, repr=False)
+    _law: TableLaw = field(repr=False)
 
     def law(self) -> TableLaw:
-        if self._law is None:
-            self._law = TableLaw(self.y, self.current)
         return self._law
 
 
@@ -313,41 +313,6 @@ def _exact_edge_currents(dhat: np.ndarray, j_b: np.ndarray) -> np.ndarray:
     return ihat.T
 
 
-def recover_edge_laws_acyclic(
-    net: Network,
-    reduced_graph: DirectedGraph,
-    plan: SamplingPlan,
-    certificate: AssumptionCertificate | None = None,
-) -> ReducedNetwork:
-    """Recover per-edge laws exactly on an acyclic reduced graph.
-
-    With ker of the reduced incidence trivial, each sampled boundary
-    current vector determines the per-edge currents uniquely; pooled
-    (value, current) pairs per edge are tabulated and interpolated.
-    """
-    if not is_acyclic(reduced_graph):
-        raise AssumptionError("reduced graph has cycles; acyclic recovery does not apply")
-    dhat = build_incidence(reduced_graph)
-    samples = plan.boundary_samples(len(reduced_graph.node_ids))
-    results = _solved_samples(net, samples)
-    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
-    cs = _exact_edge_currents(dhat, np.array([res.j_b for res in results]))
-    tables = []
-    for j, (tail, head) in enumerate(reduced_graph.edges):
-        y, i = _pool_edge_samples(ys[:, j], cs[:, j], f"edge {tail}->{head}")
-        tables.append(_make_table(y, i))
-    if certificate is None:
-        certificate = AssumptionCertificate(len(samples), True, ())
-    certificate = replace(certificate, acyclic=True)
-    reduced = ReducedNetwork(reduced_graph, tuple(tables), certificate)
-    # per-sample currents are exact here, so the recovery is accepted
-    # unconditionally; the held-out residual reports interpolation quality
-    report = holdout_residual(net, reduced, plan)
-    certificate.consistency_residual = report.max_abs
-    certificate.accepted = True
-    return reduced
-
-
 def _integrate_slopes(ys: np.ndarray, ws: np.ndarray, context: str):
     """Table nodes of one edge and its law's integral from 0 to each node.
 
@@ -375,6 +340,69 @@ def _integrate_slopes(ys: np.ndarray, ws: np.ndarray, context: str):
     return y, integral - integral[zero]
 
 
+def _recover(
+    net: Network,
+    reduced_graph: DirectedGraph,
+    plan: SamplingPlan,
+    certificate: AssumptionCertificate | None,
+    acyclic: bool,
+) -> ReducedNetwork:
+    """Both recoveries: solve the samples, build one table per edge, certify.
+
+    Only the tables differ.  On a forest they pool each edge's exact
+    currents; on a cyclic graph they integrate each edge's reduced-Hessian
+    weights and add the minimum-norm constants.  Every reduction gets the
+    held-out residual, and only a cyclic one can be left unaccepted by it.
+    """
+    dhat = build_incidence(reduced_graph)
+    samples = plan.boundary_samples(len(reduced_graph.node_ids))
+    results = _solved_samples(net, samples)
+    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
+    j_b = np.array([res.j_b for res in results])
+    labels = [f"edge {tail}->{head}" for tail, head in reduced_graph.edges]
+    if acyclic:
+        cs = _exact_edge_currents(dhat, j_b)
+        tables = [_make_table(*_pool_edge_samples(ys[:, j], cs[:, j], label))
+                  for j, label in enumerate(labels)]
+    else:
+        tails, heads = np.array(reduced_graph.edge_indices()).T
+        weights = np.array([-_reduced_hessian_at(net, res)[tails, heads] for res in results])
+        nodes, integrals = zip(*(_integrate_slopes(ys[:, j], weights[:, j], label)
+                                 for j, label in enumerate(labels)))
+        # every sample lies on (or within MERGE_WINDOW of) a node of its edge
+        at_samples = np.column_stack([np.interp(ys[:, j], nodes[j], integrals[j])
+                                      for j in range(reduced_graph.m)])
+        base, *_ = np.linalg.lstsq(dhat, (j_b - at_samples @ dhat.T).mean(axis=0), rcond=None)
+        tables = [_make_table(y, integral + c) for y, integral, c in zip(nodes, integrals, base)]
+    if certificate is None:
+        certificate = AssumptionCertificate(len(samples), True, ())
+    certificate = replace(certificate, acyclic=acyclic)
+    reduced = ReducedNetwork(reduced_graph, tuple(tables), certificate)
+    report = holdout_residual(net, reduced, plan)
+    certificate.consistency_residual = report.max_abs
+    certificate.accepted = acyclic or report.max_abs <= ACCEPT_RESIDUAL
+    return reduced
+
+
+def recover_edge_laws_acyclic(
+    net: Network,
+    reduced_graph: DirectedGraph,
+    plan: SamplingPlan,
+    certificate: AssumptionCertificate | None = None,
+) -> ReducedNetwork:
+    """Recover per-edge laws exactly on an acyclic reduced graph.
+
+    With ker of the reduced incidence trivial, each sampled boundary
+    current vector determines the per-edge currents uniquely; pooled
+    (value, current) pairs per edge are tabulated and interpolated.  The
+    per-sample currents are exact, so the recovery is accepted
+    unconditionally; the held-out residual reports interpolation quality.
+    """
+    if not is_acyclic(reduced_graph):
+        raise AssumptionError("reduced graph has cycles; acyclic recovery does not apply")
+    return _recover(net, reduced_graph, plan, certificate, acyclic=True)
+
+
 def recover_edge_laws_cyclic(
     net: Network,
     reduced_graph: DirectedGraph,
@@ -396,32 +424,7 @@ def recover_edge_laws_cyclic(
     """
     if is_acyclic(reduced_graph):
         return recover_edge_laws_acyclic(net, reduced_graph, plan, certificate)
-    dhat = build_incidence(reduced_graph)
-    samples = plan.boundary_samples(len(reduced_graph.node_ids))
-    results = _solved_samples(net, samples)
-    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
-    tails, heads = np.array(reduced_graph.edge_indices()).T
-    weights = np.array([-_reduced_hessian_at(net, res)[tails, heads] for res in results])
-    nodes = []
-    integrals = []
-    for j, (tail, head) in enumerate(reduced_graph.edges):
-        y, integral = _integrate_slopes(ys[:, j], weights[:, j], f"edge {tail}->{head}")
-        nodes.append(y)
-        integrals.append(integral)
-    # every sample lies on (or within MERGE_WINDOW of) a node of its edge
-    at_samples = np.column_stack([np.interp(ys[:, j], nodes[j], integrals[j])
-                                  for j in range(reduced_graph.m)])
-    j_b = np.array([res.j_b for res in results])
-    base, *_ = np.linalg.lstsq(dhat, (j_b - at_samples @ dhat.T).mean(axis=0), rcond=None)
-    tables = [_make_table(y, integral + c) for y, integral, c in zip(nodes, integrals, base)]
-    if certificate is None:
-        certificate = AssumptionCertificate(len(samples), True, ())
-    certificate = replace(certificate, acyclic=False)
-    reduced = ReducedNetwork(reduced_graph, tuple(tables), certificate)
-    report = holdout_residual(net, reduced, plan)
-    certificate.consistency_residual = report.max_abs
-    certificate.accepted = report.max_abs <= ACCEPT_RESIDUAL
-    return reduced
+    return _recover(net, reduced_graph, plan, certificate, acyclic=False)
 
 
 @dataclass(frozen=True)
@@ -431,12 +434,11 @@ class HoldoutReport:
     count: int
 
 
-def holdout_residual(net: Network, reduced: ReducedNetwork, plan: SamplingPlan,
-                     count: int = 50) -> HoldoutReport:
-    """Input-output mismatch of the recovered tables on held-out samples."""
+def holdout_residual(net: Network, reduced: ReducedNetwork, plan: SamplingPlan) -> HoldoutReport:
+    """Input-output mismatch of the recovered tables on the plan's held-out samples."""
     dhat = build_incidence(reduced.graph)
     laws = reduced.laws()
-    samples = plan.holdout_samples(len(reduced.graph.node_ids), count)
+    samples = plan.holdout_samples(len(reduced.graph.node_ids))
     results = _solved_samples(net, samples)
     ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
     currents = np.empty_like(ys)
@@ -582,8 +584,8 @@ def is_all_quadratic(net: Network) -> bool:
     return all(_is_quadratic(law) for law in net.laws)
 
 
-def _line_table(weight: float, span: float = LINEAR_TABLE_SPAN, points: int = 33) -> EdgeTable:
-    y = np.linspace(-span, span, points)
+def _line_table(weight: float) -> EdgeTable:
+    y = np.linspace(-LINEAR_TABLE_SPAN, LINEAR_TABLE_SPAN, LINEAR_TABLE_POINTS)
     return _make_table(y, weight * y)
 
 
@@ -627,16 +629,13 @@ def reduce_network(net: Network, plan: SamplingPlan | None = None) -> ReducedNet
     reduced support is inferred by sampling, laws are recovered (exactly
     for acyclic supports, by integrating the reduced Hessian's edge weights
     otherwise), and the certificate is completed with held-out residuals
-    and, for cyclic supports, the integrability diagnostic.
+    and the integrability diagnostic, which is 0 on acyclic supports.
     """
     plan = plan or SamplingPlan()
     if is_all_quadratic(net):
         return reduce_linear(net)
     graph, certificate = infer_reduced_graph(net, plan)
-    if certificate.acyclic:
-        reduced = recover_edge_laws_acyclic(net, graph, plan, certificate)
-        reduced.certificate.integrability_max_asymmetry = 0.0
-        return reduced
+    # the cyclic recovery hands an acyclic support to the exact one
     reduced = recover_edge_laws_cyclic(net, graph, plan, certificate)
     reduced.certificate.integrability_max_asymmetry = integrability_diagnostic(
         net, graph, plan, reduced

@@ -51,6 +51,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 ARMIJO_C = 1e-4
 MIN_STEP = 2.0**-60
+HOMOGENEITY_PROBES = 20  # random points of the homogeneity test in min_heat_check
+HOMOGENEITY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,17 @@ def cho_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_interior(
-    net: Network,
-    z_b,
-    init=None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SolveResult:
+def solve_interior(net: Network, z_b, init=None) -> SolveResult:
     """Solve the zero interior-current constraint for z_C at fixed z_B.
 
     Newton steps use the interior block of the weighted Laplacian; a
     halving line search accepts a step once the interior residual norm has
     decreased sufficiently and all edge values stay inside their validity
-    intervals.  Raises SolveError on non-convergence (suspected global
-    solvability failure) or when steps cannot stay inside the box.
+    intervals.  Iteration starts from ``init`` (the mean boundary value when
+    omitted) and stops once the largest interior current is at most
+    DEFAULT_TOL.  Raises SolveError after DEFAULT_MAX_ITER iterations
+    (suspected global solvability failure) or when steps cannot stay inside
+    the box.
     """
     z_b = np.asarray(z_b, dtype=float)
     n_b = len(net.partition.boundary)
@@ -136,9 +135,9 @@ def solve_interior(
     j = currents(y)
     res_norm = float(np.abs(j[n_b:]).max())
     iterations = 0
-    converged = res_norm <= tol
+    converged = res_norm <= DEFAULT_TOL
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < DEFAULT_MAX_ITER:
         h_cc = _laplacian(net, _gp_vec(net, y))[n_b:, n_b:]
         try:
             factor = cho_factor(h_cc)
@@ -169,11 +168,11 @@ def solve_interior(
                 raise SolveError("line search failed to reduce the residual", result=partial())
         z_c, y, j, res_norm = trial, y_trial, j_trial, trial_norm
         iterations += 1
-        converged = res_norm <= tol
+        converged = res_norm <= DEFAULT_TOL
 
     if not converged:
         raise SolveError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {DEFAULT_MAX_ITER} iterations "
             "(global solvability or validity-interval failure suspected)",
             result=partial(),
         )
@@ -240,33 +239,30 @@ class MinHeatReport:
     power_at_minimum: float
 
 
-def min_heat_check(
-    net: Network,
-    z_b,
-    k: float,
-    probes: int = 20,
-    seed: int = 0,
-    homogeneity_rtol: float = 1e-8,
-) -> MinHeatReport:
+def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
     """Compare the constraint solve against direct power minimization.
 
     Only meaningful when K is homogeneous of degree k; that is verified
-    first on random points with t in {0.5, 2} and the check refuses
-    (HomogeneityError) on the first violation.  The power minimizer is
-    found independently by derivative-free search.  Only this check needs
-    ``scipy.optimize``, so it is imported here.
+    first on HOMOGENEITY_PROBES seeded random points with t in {0.5, 2},
+    and the check refuses (HomogeneityError) on the first violation beyond
+    HOMOGENEITY_RTOL.  A non-finite k raises ValueError (with k = NaN no
+    comparison could fail).  The power minimizer is found independently by
+    derivative-free search.  Only this check needs ``scipy.optimize``, so
+    it is imported here.
     """
+    if not np.isfinite(k):
+        raise ValueError(f"homogeneity degree must be finite, got {k!r}")
     from scipy.optimize import minimize, minimize_scalar
 
     z_b = np.asarray(z_b, dtype=float)
-    rng = np.random.default_rng(seed)
-    for _ in range(probes):
+    rng = np.random.default_rng(0)
+    for _ in range(HOMOGENEITY_PROBES):
         z = rng.uniform(-1.5, 1.5, net.graph.n)
         kz = k_value(net, z)
         for t in (0.5, 2.0):
             lhs = k_value(net, t * z)
             rhs = t**k * kz
-            if abs(lhs - rhs) > homogeneity_rtol * (1.0 + abs(rhs)):
+            if abs(lhs - rhs) > HOMOGENEITY_RTOL * (1.0 + abs(rhs)):
                 raise HomogeneityError(z, t, lhs, rhs)
 
     result = solve_interior(net, z_b)

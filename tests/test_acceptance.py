@@ -177,7 +177,7 @@ def test_criterion_08_input_output_equivalence():
     for make in (diode_opposite_net, diode_same_net, linear_series_net):
         net = make()
         rn = kr.reduce_network(net, plan)
-        rel = kr.holdout_residual(net, rn, plan, count=50).max_rel
+        rel = kr.holdout_residual(net, rn, plan).max_rel
         worst = max(worst, rel)
     triangle = triangle_center_net()
     graph, cert = kr.infer_reduced_graph(triangle, SamplingPlan(count=16, seed=1))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import kronred as kr
+import kronred.cli
+import kronred.netfile
 from kronred.cli import main
 from kronred.errors import NetworkFileError
 from kronred.netfile import dump_reduced, load_network, parse_document
@@ -210,12 +212,83 @@ def test_reduce_flags_unaccepted_cyclic_fit(tmp_path, capsys):
     ["curve", "diode_opposite", "--pair", "1,2", "--vmax", "inf"],
     ["curve", "diode_opposite", "--pair", "1,2", "--vmin=-inf"],
     ["curve", "diode_opposite", "--pair", "1,2", "--vmin", "nan"],
+    ["reduce", "diode_opposite", "--seed", "-1"],
+    ["solve", "diode_opposite", "1=inf", "2=0"],
+    ["solve", "diode_opposite", "1=nan", "2=0"],
+    ["solve", "diode_opposite", "1=1", "2=0", "1=2"],
+    ["power", "linear_series", "1=1", "2=0", "--min-heat", "--degree", "nan"],
 ])
 def test_bad_option_values_are_usage_errors(argv, capsys):
     verb, name, *options = argv
     code = main([verb, str(NETWORKS_DIR / f"{name}.json"), *options])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "diode_opposite"],
+    ["curve", "diode_opposite", "--pair", "1,2"],
+])
+def test_out_in_missing_directory_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the work ran before the --out path was opened")
+
+    monkeypatch.setattr(kronred.cli, "reduce_network", must_not_run)
+    monkeypatch.setattr(kronred.cli, "effective_curve", must_not_run)
+    verb, name, *options = argv
+    out = tmp_path / "missing" / "out.txt"
+    code = main([verb, str(NETWORKS_DIR / f"{name}.json"), *options, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+def grid_document(k, law):
+    """k x k grid, every edge carrying ``law``, with the four corners as boundary."""
+    edges = []
+    for i in range(k * k):
+        if i % k + 1 < k:
+            edges.append({"from": str(i), "to": str(i + 1), "law": law})
+        if i + k < k * k:
+            edges.append({"from": str(i), "to": str(i + k), "law": law})
+    corners = [0, k - 1, k * (k - 1), k * k - 1]
+    return {"nodes": [str(i) for i in range(k * k)],
+            "boundary": [str(i) for i in corners], "edges": edges}
+
+
+def test_load_certifies_each_distinct_law_once(tmp_path, monkeypatch):
+    doc = grid_document(3, "y + 0.1*sinh(y)")
+    doc["edges"][-1]["interval"] = [-4.0, 4.0]
+    calls = []
+    real = kronred.netfile.edge_law
+
+    def counting(text, **options):
+        calls.append((text, options["kind"], options["interval"]))
+        return real(text, **options)
+
+    monkeypatch.setattr(kronred.netfile, "edge_law", counting)
+    net = load_network(write(tmp_path, "grid.json", doc)).network
+    assert sorted(calls) == [("y + 0.1*sinh(y)", "conductance", (-8.0, 8.0)),
+                             ("y + 0.1*sinh(y)", "conductance", (-4.0, 4.0))]
+    assert net.graph.m == 12
+    assert all(law is net.laws[0] for law in net.laws[:-1])
+    assert net.laws[-1].validity_interval == (-4.0, 4.0)
+
+
+def test_check_reports_every_edge_of_a_shared_law(tmp_path, capsys):
+    code = main(["check", write(tmp_path, "grid.json", grid_document(3, "y + 0.1*sinh(y)"))])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    margins = [line for line in lines if "convexity margin" in line]
+    assert len(margins) == 12 and all(line.startswith("PASS") for line in margins)
+
+
+def test_check_fails_every_edge_of_a_shared_bad_law(tmp_path, capsys):
+    code = main(["check", write(tmp_path, "grid.json", grid_document(3, "tanh(y) - y"))])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert sum(line.startswith("FAIL  convexity margin") for line in lines) == 12
+    assert "PASS  connectivity: connected" in lines
 
 
 def test_curve_csv_values(tmp_path, capsys):

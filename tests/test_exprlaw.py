@@ -248,7 +248,7 @@ def test_convexity_violation_constant_derivative():
 
 def test_scan_convexity_locates_first_violation():
     gp = differentiate(parse_law("tanh(y) - y"))
-    value, violation = scan_convexity(gp, (-3.0, 3.0), samples=11)
+    value, violation = scan_convexity(gp, (-3.0, 3.0))
     assert violation == -3.0  # first grid point already violates
 
 

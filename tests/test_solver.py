@@ -216,6 +216,13 @@ def test_min_heat_refuses_diode(diode_opposite):
     assert info.value.t in (0.5, 2.0)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_min_heat_rejects_non_finite_degree(linear_series, k):
+    # every comparison with NaN is false, so the homogeneity test cannot refuse it
+    with pytest.raises(ValueError, match="finite"):
+        kr.min_heat_check(linear_series, np.array([1.0, 0.0]), k=k)
+
+
 def test_min_heat_single_boundary_node():
     # 3-node quadratic chain with one boundary node; grid-search oracle
     g = kr.DirectedGraph(("b", "c1", "c2"), (("b", "c1"), ("c1", "c2")))
