@@ -26,13 +26,14 @@ from .errors import (
 from .graph import is_connected
 from .netfile import certify_edges, dump_reduced, load_document, load_network, parse_document
 from .potential import (
+    _edge_values,
     build_network,
     dissipated_power,
     k_value,
     power_balance_check,
     weighted_laplacian,
 )
-from .reduction import SamplingPlan, effective_curve, reduce_network
+from .reduction import SamplingPlan, boundary_ids, effective_curve, reduce_network
 from .solver import min_heat_check, solve_interior
 
 EXIT_OK = 0
@@ -44,21 +45,15 @@ EXIT_ASSUMPTION = 4
 LABELS = {
     "resistor": {
         "potential": "potential",
-        "across": "voltage",
-        "through": "current",
         "nodal": "nodal current",
         "k": "co-content",
         "power": "dissipated power",
-        "law": "conductance",
     },
     "memristor": {
         "potential": "nodal flux",
-        "across": "flux",
-        "through": "charge",
         "nodal": "nodal charge",
         "k": "action",
         "power": "flux-charge rate",
-        "law": "memductance",
     },
 }
 
@@ -92,11 +87,24 @@ class CheckItem:
     measured: str
 
 
+def _inside_intervals(net, z: np.ndarray) -> np.ndarray:
+    """``z`` itself when every edge value lies in its validity interval.
+
+    Otherwise ``z`` scaled toward 0 until every edge value lies within half
+    its interval; the half leaves room for rounding in the scaled values.
+    """
+    index = net._law_index
+    y = _edge_values(net, z[net._edge_list.order])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.maximum(y / index.hi, y / index.lo).max(initial=0.0)
+    return z / (2.0 * reach) if reach > 1.0 else z
+
+
 def _structure_items(net, rng) -> list[CheckItem]:
     items = []
     n = net.graph.n
     for trial in range(5):
-        z = rng.uniform(-1.0, 1.0, n)
+        z = _inside_intervals(net, rng.uniform(-1.0, 1.0, n))
         lap = weighted_laplacian(net, z)
         scale = 1.0 + np.abs(lap).max()
         sym = float(np.abs(lap - lap.T).max())
@@ -178,7 +186,7 @@ def cmd_solve(args) -> int:
     loaded = load_network(args.file)
     net = loaded.network
     labels = LABELS[loaded.domain]
-    names = [net.graph.node_ids[i] for i in net.partition.boundary]
+    names = boundary_ids(net)
     z_b = _parse_assignments(args.assignments, names, "boundary")
     result = solve_interior(net, z_b)
     for idx, node in enumerate(net.partition.central):
@@ -277,8 +285,7 @@ def cmd_power(args) -> int:
     net = loaded.network
     labels = LABELS[loaded.domain]
     if args.min_heat:
-        names = [net.graph.node_ids[i] for i in net.partition.boundary]
-        z_b = _parse_assignments(args.assignments, names, "boundary")
+        z_b = _parse_assignments(args.assignments, boundary_ids(net), "boundary")
         try:
             report = min_heat_check(net, z_b, args.degree)
         except HomogeneityError as exc:

@@ -433,8 +433,9 @@ class EdgeLaw:
     def gp_at(self, y):
         return evaluate(self.g_prime, y)
 
-    def cocontent(self, y: float) -> float:
-        return cocontent(self, y)
+    def cocontent(self, y: np.ndarray) -> np.ndarray:
+        """G at each edge value in ``y``; the values must lie in the validity interval."""
+        return _integrate(self.g, y)
 
 
 def scan_convexity(g_prime: Expr, interval: tuple[float, float]) -> tuple[float, float | None]:
@@ -490,7 +491,7 @@ def cocontent(law: EdgeLaw, y: float) -> float:
         raise IntervalError(y, law.validity_interval)
     if y == 0.0:
         return 0.0
-    return float(_integrate(law.g, np.array([float(y)]))[0])
+    return float(law.cocontent(np.array([float(y)]))[0])
 
 
 def _gauss_panel_rule(low: int, high: int):

@@ -56,32 +56,43 @@ def build_incidence(g: DirectedGraph) -> np.ndarray:
     return d
 
 
-def _component_count(g: DirectedGraph) -> int:
-    # union-find on the undirected support
-    parent = list(range(g.n))
+def _spanning_forest(g: DirectedGraph) -> tuple[list, int]:
+    """A spanning forest of the undirected support, and its number of roots.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ti, hi in g.edge_indices():
-        ra, rb = find(ti), find(hi)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(g.n)})
+    Each node not yet reached roots a new tree, one per connected component.
+    Per node, the tree edge that reached it is (parent, edge, direction),
+    with direction +1 where the edge runs parent -> node, or None at a root.
+    """
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]  # (nbr, edge, dir)
+    for j, (ti, hi) in enumerate(g.edge_indices()):
+        adj[ti].append((hi, j, +1))
+        adj[hi].append((ti, j, -1))
+    parent_edge: list[tuple[int, int, int] | None] = [None] * g.n
+    seen = [False] * g.n
+    roots = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots += 1
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for nbr, j, direction in adj[node]:
+                if not seen[nbr]:
+                    seen[nbr] = True
+                    parent_edge[nbr] = (node, j, direction)
+                    frontier.append(nbr)
+    return parent_edge, roots
 
 
 def is_connected(g: DirectedGraph) -> bool:
-    if g.n == 0:
-        return True
-    return _component_count(g) == 1
+    return g.n == 0 or _spanning_forest(g)[1] == 1
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
-    """True iff the undirected support is a forest (ker D = 0)."""
-    return g.m == g.n - _component_count(g)
+    """True iff the undirected support is a forest (ker D = 0): every edge is a tree edge."""
+    return g.m == g.n - _spanning_forest(g)[1]
 
 
 def graph_from_laplacian(
@@ -130,30 +141,12 @@ def graph_from_laplacian(
 def fundamental_cycles(g: DirectedGraph) -> np.ndarray:
     """m x c matrix whose columns span ker D, one per non-tree edge.
 
-    Built from a BFS spanning forest; each chord closes exactly one cycle.
+    Built from ``_spanning_forest``; each chord closes exactly one cycle.
     Signs are +1 where the cycle traverses an edge along its orientation.
     """
     d = build_incidence(g)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]  # (nbr, edge, dir)
-    for j, (ti, hi) in enumerate(g.edge_indices()):
-        adj[ti].append((hi, j, +1))
-        adj[hi].append((ti, j, -1))
-    in_tree = [False] * g.m
-    parent_edge: list[tuple[int, int, int] | None] = [None] * g.n  # (parent, edge, dir)
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            for nbr, j, direction in adj[node]:
-                if not seen[nbr] and not in_tree[j]:
-                    seen[nbr] = True
-                    in_tree[j] = True
-                    parent_edge[nbr] = (node, j, direction)
-                    frontier.append(nbr)
+    parent_edge, _ = _spanning_forest(g)
+    in_tree = {step[1] for step in parent_edge if step is not None}
 
     def path_to_root(node):
         steps = []
@@ -161,21 +154,19 @@ def fundamental_cycles(g: DirectedGraph) -> np.ndarray:
             parent, j, direction = parent_edge[node]
             steps.append((j, direction))
             node = parent
-        return node, steps
+        return steps
 
     columns = []
     for j, (ti, hi) in enumerate(g.edge_indices()):
-        if in_tree[j]:
+        if j in in_tree:
             continue
         col = np.zeros(g.m)
         col[j] = 1.0
         # close the cycle with the tree walk head -> root -> tail; a step up
         # from child to parent runs against the stored direction
-        _, steps_h = path_to_root(hi)
-        _, steps_t = path_to_root(ti)
-        for e, direction in steps_h:
+        for e, direction in path_to_root(hi):
             col[e] -= direction
-        for e, direction in steps_t:
+        for e, direction in path_to_root(ti):
             col[e] += direction
         columns.append(col)
     cycles = np.column_stack(columns) if columns else np.zeros((g.m, 0))

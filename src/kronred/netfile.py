@@ -76,6 +76,17 @@ def _require(data: dict, key: str, kind, location: str):
     return value
 
 
+def _table_column(table: dict, key: str, location: str) -> np.ndarray:
+    """One table column as floats; it must be a list of finite numbers."""
+    values = table[key]
+    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        raise NetworkFileError(f"table {key!r} must be a list of numbers", location)
+    column = np.asarray(values, dtype=float)
+    if not np.isfinite(column).all():
+        raise NetworkFileError(f"table {key!r} holds a non-finite value", location)
+    return column
+
+
 def parse_document(data: dict, location: str = "document") -> ParsedDocument:
     """Validate structure and law syntax; numeric certification happens later.
 
@@ -124,8 +135,10 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
                 raise NetworkFileError("table needs equal-length 'y' and 'current' lists", loc)
             if len(y) < 2:
                 raise NetworkFileError("table needs at least two samples", loc)
-            ya = np.asarray(y, dtype=float)
-            ia = np.asarray(current, dtype=float)
+            ya = _table_column(table, "y", loc)
+            ia = _table_column(table, "current", loc)
+            if "cocontent" in table:
+                _table_column(table, "cocontent", loc)  # checked, never read
             if not (np.diff(ya) > 0).all():
                 raise NetworkFileError("table 'y' values must be strictly increasing", loc)
             parsed.table = (ya, ia)
@@ -158,7 +171,7 @@ def build_edge_law(edge: ParsedEdge):
     """Certified law object for a parsed edge (expression or table)."""
     if edge.table is not None:
         law = TableLaw(edge.table[0], edge.table[1])
-        if law.convexity_margin <= 0.0:
+        if not law.convexity_margin > 0.0:  # NaN fails too
             raise ConvexityError(float("nan"), law.convexity_margin, f"table at {edge.location}")
         return law
     return edge_law(edge.law_text, kind=edge.kind, interval=edge.interval)

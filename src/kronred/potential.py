@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphStructureError, IntervalError
-from .exprlaw import EdgeLaw, _integrate, evaluate
 from .graph import DirectedGraph, build_incidence, is_connected
 
 
@@ -45,14 +44,13 @@ class NodePartition:
 class _LawIndex:
     """Edge laws arranged for array evaluation.
 
-    ``exprs`` holds one (g, g', edge indices) entry per distinct parsed law,
-    so all edges sharing a law are evaluated by one call; ``others`` holds
-    (edge index, law) for laws evaluated on their own, such as tables.
-    ``lo``/``hi`` are the validity interval ends per edge.
+    ``groups`` holds one (law, edge indices) pair per distinct law, so all
+    edges sharing a law are evaluated by one call.  Laws are told apart by
+    equality: equal parsed laws share a group, and each table object is its
+    own.  ``lo``/``hi`` are the validity interval ends per edge.
     """
 
-    exprs: tuple
-    others: tuple
+    groups: tuple
     lo: np.ndarray
     hi: np.ndarray
 
@@ -93,16 +91,11 @@ class Network:
     @cached_property
     def _law_index(self) -> _LawIndex:
         groups: dict = {}
-        others = []
         for j, law in enumerate(self.laws):
-            if isinstance(law, EdgeLaw):
-                groups.setdefault((law.g, law.g_prime), []).append(j)
-            else:
-                others.append((j, law))
-        exprs = tuple((g, gp, np.array(idx)) for (g, gp), idx in groups.items())
+            groups.setdefault(law, []).append(j)
         bounds = np.array([law.validity_interval for law in self.laws], dtype=float)
         lo, hi = bounds.reshape(-1, 2).T
-        return _LawIndex(exprs, tuple(others), lo, hi)
+        return _LawIndex(tuple((law, np.array(idx)) for law, idx in groups.items()), lo, hi)
 
     @cached_property
     def _edge_list(self) -> _EdgeList:
@@ -188,35 +181,26 @@ def edge_voltages(net: Network, z: np.ndarray) -> np.ndarray:
 
 
 def _g_vec(net: Network, y: np.ndarray) -> np.ndarray:
-    index = net._law_index
     out = np.empty(len(y))
-    for g, _, idx in index.exprs:
-        out[idx] = evaluate(g, y[idx])
-    for j, law in index.others:
-        out[j] = law.g_at(y[j])
+    for law, idx in net._law_index.groups:
+        out[idx] = law.g_at(y[idx])
     return out
 
 
 def _gp_vec(net: Network, y: np.ndarray) -> np.ndarray:
-    index = net._law_index
     out = np.empty(len(y))
-    for _, gp, idx in index.exprs:
-        out[idx] = evaluate(gp, y[idx])
-    for j, law in index.others:
-        out[j] = law.gp_at(y[j])
+    for law, idx in net._law_index.groups:
+        out[idx] = law.gp_at(y[idx])
     return out
 
 
 def k_value(net: Network, z: np.ndarray) -> float:
     """Total co-content K(z), anchored so K vanishes when all edge values do.
 
-    Edges sharing a parsed law are integrated by one array call; other laws,
-    such as tables, by their own ``cocontent``.
+    The edges of each law group are integrated by one ``cocontent`` call.
     """
     y = edge_voltages(net, z)
-    index = net._law_index
-    total = sum(float(_integrate(g, y[idx]).sum()) for g, _, idx in index.exprs)
-    return float(total + sum(law.cocontent(float(y[j])) for j, law in index.others))
+    return float(sum(float(law.cocontent(y[idx]).sum()) for law, idx in net._law_index.groups))
 
 
 def nodal_currents(net: Network, z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cubic import HermiteCubic, spline
 from .errors import AssumptionError, NonQuadraticLawError, SolveError
-from .exprlaw import differentiate, evaluate
+from .exprlaw import EdgeLaw, differentiate, evaluate
 from .graph import (
     DirectedGraph,
     build_incidence,
@@ -33,13 +33,11 @@ from .graph import (
 from .potential import (
     Network,
     NodePartition,
-    _edge_values,
-    _gp_vec,
     build_network,
     edge_label,
     k_value,
 )
-from .solver import SolveResult, _schur, solve_interior
+from .solver import _schur, _schur_at, solve_interior
 
 SUPPORT_ABS_TOL = 1e-10
 SUPPORT_REL_TOL = 1e-9
@@ -116,15 +114,13 @@ def monotone_cubic(x: np.ndarray, y: np.ndarray) -> HermiteCubic:
 class TableLaw:
     """Edge law backed by a monotone sample table.
 
-    Provides the same evaluation protocol as a parsed law: g_at, gp_at,
-    cocontent (anchored at 0), contains, validity_interval and a sampled
-    convexity margin.  All three are the ``monotone_cubic`` interpolant, its
-    exact derivative and its exact antiderivative.  An extrapolation pad of
-    TABLE_PAD times the sampled range at each end keeps held-out evaluation
-    robust.
+    Provides the same evaluation protocol as a parsed law: g_at, gp_at and
+    cocontent (anchored at 0) on arrays of edge values, contains,
+    validity_interval and a sampled convexity margin.  The three evaluations
+    are the ``monotone_cubic`` interpolant, its exact derivative and its
+    exact antiderivative.  An extrapolation pad of TABLE_PAD times the
+    sampled range at each end keeps held-out evaluation robust.
     """
-
-    kind = "table"
 
     def __init__(self, y: np.ndarray, current: np.ndarray):
         self.y = np.asarray(y, dtype=float)
@@ -135,7 +131,6 @@ class TableLaw:
         self.validity_interval = (float(self.y[0] - pad), float(self.y[-1] + pad))
         grid = np.linspace(self.y[0], self.y[-1], 513)
         self.convexity_margin = float(np.min(self._f.derivative(grid)))
-        self.source = f"table[{len(self.y)}]"
 
     def contains(self, y: float) -> bool:
         lo, hi = self.validity_interval
@@ -147,8 +142,8 @@ class TableLaw:
     def gp_at(self, y):
         return self._f.derivative(y)
 
-    def cocontent(self, y: float) -> float:
-        return float(self._f.antiderivative(y) - self._anchor)
+    def cocontent(self, y: np.ndarray) -> np.ndarray:
+        return self._f.antiderivative(y) - self._anchor
 
 
 @dataclass
@@ -166,8 +161,7 @@ class EdgeTable:
 
 def _make_table(y: np.ndarray, current: np.ndarray) -> EdgeTable:
     law = TableLaw(y, current)
-    g = law._f.antiderivative(y) - law._anchor
-    return EdgeTable(np.asarray(y, float), np.asarray(current, float), g, law)
+    return EdgeTable(law.y, law.current, law.cocontent(law.y), law)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +203,7 @@ class ReducedNetwork:
 
 def reduced_hessian(net: Network, z_b) -> np.ndarray:
     """Schur complement of the Hessian over the central block at z_C(z_B)."""
-    return _reduced_hessian_at(net, solve_interior(net, z_b))
-
-
-def _reduced_hessian_at(net: Network, result: SolveResult) -> np.ndarray:
-    z = result.z_full[net._edge_list.order]
-    return _schur(net, _gp_vec(net, _edge_values(net, z)))[0]
+    return _schur_at(net, solve_interior(net, z_b))[0]
 
 
 def boundary_ids(net: Network) -> tuple[str, ...]:
@@ -366,7 +355,7 @@ def _recover(
                   for j, label in enumerate(labels)]
     else:
         tails, heads = np.array(reduced_graph.edge_indices()).T
-        weights = np.array([-_reduced_hessian_at(net, res)[tails, heads] for res in results])
+        weights = np.array([-_schur_at(net, res)[0][tails, heads] for res in results])
         nodes, integrals = zip(*(_integrate_slopes(ys[:, j], weights[:, j], label)
                                  for j, label in enumerate(labels)))
         # every sample lies on (or within MERGE_WINDOW of) a node of its edge
@@ -571,7 +560,7 @@ def effective_curve(net: Network, a: str, b: str, v_grid) -> list[CurvePoint]:
 
 
 def _is_quadratic(law) -> bool:
-    if not hasattr(law, "g"):
+    if not isinstance(law, EdgeLaw):
         return False
     second = differentiate(law.g_prime)
     probes = np.linspace(law.validity_interval[0], law.validity_interval[1], 7)

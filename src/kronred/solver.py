@@ -41,6 +41,7 @@ from .potential import (
     _gp_vec,
     _laplacian,
     _nodal_sums,
+    _node_order,
     dissipated_power,
     edge_label,
     edge_voltages,
@@ -66,9 +67,7 @@ class SolveResult:
 
 
 def _assemble(net: Network, z_c: np.ndarray, z_b: np.ndarray) -> np.ndarray:
-    z = np.empty(net.graph.n)
-    z[net._edge_list.order] = np.concatenate((z_b, z_c))
-    return z
+    return _node_order(net, np.concatenate((z_b, z_c)))
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -203,6 +202,12 @@ def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h_bb - h_cb.T @ x, -x
 
 
+def _schur_at(net: Network, result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
+    """``_schur`` of the network weighted by its edge slopes at a solved point."""
+    z = result.z_full[net._edge_list.order]
+    return _schur(net, _gp_vec(net, _edge_values(net, z)))
+
+
 def interior_hessian_check(net: Network, z) -> float:
     """Smallest eigenvalue of the interior Hessian block at z."""
     n_b = len(net.partition.boundary)
@@ -219,8 +224,7 @@ def sensitivity(net: Network, z_b) -> np.ndarray:
     rows sum to one because shifting all boundary potentials shifts the
     interior solution by the same constant.
     """
-    z = solve_interior(net, z_b).z_full
-    return _schur(net, _gp_vec(net, _edge_values(net, z[net._edge_list.order])))[1]
+    return _schur_at(net, solve_interior(net, z_b))[1]
 
 
 def reduced_potential(net: Network, z_b) -> float:

@@ -365,3 +365,44 @@ def test_dump_reduced_round_trips_tables():
     data = json.loads(text)
     y = np.array(data["edges"][0]["table"]["y"])
     np.testing.assert_array_equal(y, rn.edge_tables[0].y)
+
+
+# A two-node reduced file whose one table holds one bad entry.
+def _reduced_two_node(column, value):
+    table = {"y": [-1.0, 0.0, 1.0, 2.0], "current": [-1.0, 0.0, 1.0, 2.0],
+             "cocontent": [0.5, 0.0, 0.5, 2.0]}
+    table[column] = list(table[column])
+    table[column][1] = value
+    return {"reduced": True, "nodes": ["a", "b"], "boundary": ["a", "b"],
+            "edges": [{"from": "a", "to": "b", "table": table}]}
+
+
+@pytest.mark.parametrize("column", ["y", "current", "cocontent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, "1.0"])
+@pytest.mark.parametrize("verb", [
+    ["check"], ["solve", "a=0.5", "b=0"], ["curve", "--pair", "a,b", "--vmin", "-0.5", "--vmax", "0.5"],
+    ["power", "a=0.5", "b=0"],
+], ids=["check", "solve", "curve", "power"])
+def test_bad_table_entry_is_usage_error(column, value, verb, tmp_path, capsys):
+    path = write(tmp_path, "reduced.json", _reduced_two_node(column, value))
+    assert main([verb[0], path, *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges[0]" in err and repr(column) in err
+
+
+def test_table_with_nan_margin_is_not_certified():
+    y = np.array([-1.0, 0.0, 1.0, 2.0])
+    edge = kronred.netfile.ParsedEdge("a", "b", "edges[0]", table=(y, np.array([-1.0, np.nan, 1.0, 2.0])))
+    with pytest.raises(kr.ConvexityError):
+        kronred.netfile.build_edge_law(edge)
+
+
+def test_check_passes_on_narrow_reduced_tables(tmp_path, capsys):
+    # the tables cover about [-0.5, 0.5], far less than the trials' [-1, 1] potentials
+    narrow = tmp_path / "narrow.json"
+    source = str(NETWORKS_DIR / "diode_opposite.json")
+    assert main(["reduce", source, "--range", "0.3", "--samples", "32", "--out", str(narrow)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(narrow)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count("PASS") == 17

@@ -135,6 +135,17 @@ def test_connected_rank_is_n_minus_one(seed):
     assert np.linalg.matrix_rank(d, tol=1e-10) == g.n - 1
 
 
+@given(st.integers(1, 7), st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), max_size=9))
+def test_connectivity_and_acyclicity_match_incidence_rank(n, pairs):
+    # arbitrary graphs: disconnected ones, isolated nodes and parallel edges
+    names = tuple(str(i) for i in range(n))
+    edges = tuple((names[t % n], names[(t + k) % n]) for t, k in pairs if k % n)
+    g = DirectedGraph(names, edges)
+    rank = np.linalg.matrix_rank(build_incidence(g)) if g.m else 0
+    assert is_connected(g) == (rank == n - 1)
+    assert is_acyclic(g) == (rank == g.m)
+
+
 @given(st.integers(0, 10_000))
 def test_laplacian_round_trip_on_simple_graphs(seed):
     rng = np.random.default_rng(seed)

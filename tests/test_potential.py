@@ -297,6 +297,11 @@ def test_grouped_law_values_match_scalar_loop(seed):
     want_gp = [float(law.gp_at(y[j])) for j, law in enumerate(net.laws)]
     np.testing.assert_allclose(_g_vec(net, y), want_g, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(_gp_vec(net, y), want_gp, rtol=1e-14, atol=0.0)
+    # |edge value| <= 3 keeps every edge inside its law's interval
+    z = rng.uniform(-1.5, 1.5, net.graph.n)
+    y = edge_voltages(net, z)
+    want_k = sum(float(law.cocontent(y[j:j + 1])[0]) for j, law in enumerate(net.laws))
+    assert kr.k_value(net, z) == pytest.approx(want_k, rel=1e-13, abs=1e-15)
 
 
 @settings(max_examples=40)
