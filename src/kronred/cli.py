@@ -24,10 +24,9 @@ from .errors import (
     SolveError,
 )
 from .graph import is_connected
-from .netfile import certify_edges, dump_reduced, load_document, load_network, parse_document
+from .netfile import assemble, dump_reduced, load_document, load_network, parse_document
 from .potential import (
     _edge_values,
-    build_network,
     dissipated_power,
     k_value,
     power_balance_check,
@@ -134,20 +133,18 @@ def _structure_items(net, rng) -> list[CheckItem]:
 
 def cmd_check(args) -> int:
     document = parse_document(load_document(args.file), location=args.file)
-    graph, laws = certify_edges(document)
     items = []
-    for edge, law in zip(document.edges, laws):
+    for edge in document.edges:
         name = f"convexity margin {edge.tail}->{edge.head}"
-        if isinstance(law, ConvexityError):
-            items.append(CheckItem(name, False, str(law)))
+        if isinstance(edge.law, ConvexityError):
+            items.append(CheckItem(name, False, str(edge.law)))
         else:
-            items.append(CheckItem(name, True, f"min g' = {law.convexity_margin:.6e}"))
-    connected = is_connected(graph)
+            items.append(CheckItem(name, True, f"min g' = {edge.law.convexity_margin:.6e}"))
+    connected = is_connected(document.graph)
     items.append(CheckItem("connectivity", connected,
                            "connected" if connected else "graph is disconnected"))
     if all(item.passed for item in items):
-        net = build_network(graph, laws, document.boundary)
-        items.extend(_structure_items(net, np.random.default_rng(0)))
+        items.extend(_structure_items(assemble(document).network, np.random.default_rng(0)))
     for item in items:
         print(f"{'PASS' if item.passed else 'FAIL'}  {item.name}: {item.measured}")
     return EXIT_OK if all(item.passed for item in items) else EXIT_CHECK_FAILED
@@ -226,8 +223,7 @@ def cmd_reduce(args) -> int:
                 "sampling": {"count": plan.count, "scale": plan.scale, "seed": plan.seed},
             }
             out.write(json.dumps(failure, indent=2) + "\n")
-            print(f"reduction failed: {exc}", file=sys.stderr)
-            return EXIT_SOLVER if isinstance(exc, SolveError) else EXIT_ASSUMPTION
+            raise
         out.write(dump_reduced(reduced, loaded.domain, plan))
     cert = reduced.certificate
     if not cert.support_stable or cert.accepted is False:
@@ -358,7 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse fills a verb's (empty) assignments before it reads the verb's
+    # options, so name=value tokens after an option come back unparsed
+    args, extra = parser.parse_known_args(argv)
+    rest = []
+    for token in extra:
+        takes = hasattr(args, "assignments") and "=" in token and not token.startswith("-")
+        (args.assignments if takes else rest).append(token)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.handler(args)
     except NetworkFileError as exc:

@@ -7,17 +7,18 @@ extrapolates the end pieces.  ``spline`` gives it the slopes of the C2
 not-a-knot cubic spline.
 
 The arithmetic follows scipy's ``CubicSpline``/``CubicHermiteSpline`` and
-``PPoly`` step for step: the same slope systems and LAPACK solvers, the same
-coefficients, and power sums accumulated in the same order.  With scipy 1.17
-the values, derivatives and antiderivatives came out bit for bit as scipy's
-on random tables, so recovered tables keep their bytes.
+``PPoly`` step for step: the same slope systems, the same coefficients, and
+power sums accumulated in the same order.  With scipy 1.17 the values,
+derivatives and antiderivatives of tables of four or more points came out bit
+for bit as scipy's on random tables, so recovered tables keep their bytes.
+Three-point tables solve their parabola's system with the banded solver,
+where scipy uses a dense LU solve; they agree with scipy to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgesv
 
 
 class HermiteCubic:
@@ -73,35 +74,32 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Two points give the line and three the parabola through them, as in
     scipy's ``CubicSpline``; more points solve its tridiagonal system.  The
-    3 x 3 parabola system goes through ``dgesv``, the LU solve scipy uses
-    there: the banded solver rounds it differently.
+    parabola's system is tridiagonal too, and differs only in its end rows.
     """
     dx = np.diff(x)
     secant = np.diff(y) / dx
     n = len(x)
     if n == 2:
         return np.array([secant[0], secant[0]])
-    if n == 3:
-        a = np.array([[1.0, 1.0, 0.0],
-                      [dx[1], 2.0 * (dx[0] + dx[1]), dx[0]],
-                      [0.0, 1.0, 1.0]])
-        b = np.array([2.0 * secant[0], 3.0 * (dx[0] * secant[1] + dx[1] * secant[0]),
-                      2.0 * secant[1]])
-        return dgesv(a, b)[2]
     bands = np.zeros((3, n))  # rows: upper, main and lower diagonal
     b = np.empty(n)
     bands[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
     bands[0, 2:] = dx[:-1]
     bands[2, :-2] = dx[1:]
     b[1:-1] = 3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
-    d = x[2] - x[0]
-    bands[1, 0] = dx[1]
-    bands[0, 1] = d
-    b[0] = ((dx[0] + 2.0 * d) * dx[1] * secant[0] + dx[0] ** 2 * secant[1]) / d
-    d = x[-1] - x[-3]
-    bands[1, -1] = dx[-2]
-    bands[2, -2] = d
-    b[-1] = (dx[-1] ** 2 * secant[-2] + (2.0 * d + dx[-1]) * dx[-2] * secant[-1]) / d
+    if n == 3:  # slope sums fixed by the parabola's two secants
+        bands[1, 0] = bands[0, 1] = bands[1, -1] = bands[2, -2] = 1.0
+        b[0] = 2.0 * secant[0]
+        b[-1] = 2.0 * secant[1]
+    else:
+        d = x[2] - x[0]
+        bands[1, 0] = dx[1]
+        bands[0, 1] = d
+        b[0] = ((dx[0] + 2.0 * d) * dx[1] * secant[0] + dx[0] ** 2 * secant[1]) / d
+        d = x[-1] - x[-3]
+        bands[1, -1] = dx[-2]
+        bands[2, -2] = d
+        b[-1] = (dx[-1] ** 2 * secant[-2] + (2.0 * d + dx[-1]) * dx[-2] * secant[-1]) / d
     return solve_banded((1, 1), bands, b, overwrite_ab=True, overwrite_b=True,
                         check_finite=False)
 

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, ExprSyntaxError, NetworkFileError
-from .exprlaw import DEFAULT_INTERVAL, edge_law, parse_law
+from .exprlaw import DEFAULT_INTERVAL, edge_law
 from .graph import DirectedGraph
 from .potential import Network, build_network
 from .reduction import ReducedNetwork, SamplingPlan, TableLaw
 
 DOMAINS = ("resistor", "memristor")
+INTERPOLATION = "monotone-cubic"  # how a reduced file's tables are read back (TableLaw)
 
 
 @dataclass
@@ -45,16 +46,13 @@ class ParsedEdge:
     tail: str
     head: str
     location: str
-    law_text: str | None = None
-    kind: str = "conductance"
-    interval: tuple[float, float] = DEFAULT_INTERVAL
-    table: tuple[np.ndarray, np.ndarray] | None = None  # (y, current)
+    law: object  # the certified law, or the ConvexityError refusing it
 
 
 @dataclass
 class ParsedDocument:
     domain: str
-    nodes: tuple[str, ...]
+    graph: DirectedGraph
     boundary: tuple[str, ...]
     edges: list[ParsedEdge]
     reduced: bool
@@ -87,10 +85,22 @@ def _table_column(table: dict, key: str, location: str) -> np.ndarray:
     return column
 
 
-def parse_document(data: dict, location: str = "document") -> ParsedDocument:
-    """Validate structure and law syntax; numeric certification happens later.
+def certify_table(y: np.ndarray, current: np.ndarray, location: str) -> TableLaw:
+    """The law interpolating a table; raises ConvexityError unless its margin is > 0."""
+    law = TableLaw(y, current)
+    if not law.convexity_margin > 0.0:  # NaN fails too
+        raise ConvexityError(float("nan"), law.convexity_margin, f"table at {location}")
+    return law
 
-    Each distinct law text is parsed once, at its first edge.
+
+def parse_document(data: dict, location: str = "document") -> ParsedDocument:
+    """Validate structure and certify every edge's law in one pass.
+
+    Each distinct (law text, kind, interval) is certified once, at its first
+    edge, and every edge that carries it shares the one law object, or the
+    one ConvexityError refusing it; each table is certified on its own.  A
+    refusal is stored on the edge, not raised, so a later syntax or
+    structure error is reported first.
     """
     if not isinstance(data, dict):
         raise NetworkFileError("top level must be an object", location)
@@ -114,7 +124,7 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
         raise NetworkFileError("duplicate boundary node", f"{location}.boundary")
     raw_edges = _require(data, "edges", list, location)
     edges = []
-    parsed_texts = set()
+    certified: dict = {}
     for idx, entry in enumerate(raw_edges):
         loc = f"{location}.edges[{idx}]"
         if not isinstance(entry, dict):
@@ -126,7 +136,6 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
                 raise NetworkFileError(f"edge references undeclared node {name!r}", loc)
         if tail == head:
             raise NetworkFileError("self-loops are not allowed", loc)
-        parsed = ParsedEdge(tail, head, loc)
         if reduced:
             table = _require(entry, "table", dict, loc)
             y = table.get("y")
@@ -141,7 +150,10 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
                 _table_column(table, "cocontent", loc)  # checked, never read
             if not (np.diff(ya) > 0).all():
                 raise NetworkFileError("table 'y' values must be strictly increasing", loc)
-            parsed.table = (ya, ia)
+            try:
+                law = certify_table(ya, ia, loc)
+            except ConvexityError as exc:
+                law = exc
         else:
             law_text = _require(entry, "law", str, loc)
             kind = entry.get("kind", "conductance")
@@ -154,58 +166,26 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
             lo, hi = float(interval[0]), float(interval[1])
             if not lo < 0.0 < hi:
                 raise NetworkFileError("interval must straddle 0", loc)
-            parsed.law_text = law_text
-            parsed.kind = kind
-            parsed.interval = (lo, hi)
-            if law_text not in parsed_texts:
-                try:  # syntax only; convexity is certified at assembly
-                    parse_law(law_text)
+            key = (law_text, kind, (lo, hi))
+            if key not in certified:
+                try:
+                    certified[key] = edge_law(law_text, kind=kind, interval=(lo, hi))
                 except ExprSyntaxError as exc:
                     raise NetworkFileError(f"law does not parse: {exc}", loc) from exc
-                parsed_texts.add(law_text)
-        edges.append(parsed)
-    return ParsedDocument(domain, tuple(nodes), tuple(boundary), edges, reduced)
-
-
-def build_edge_law(edge: ParsedEdge):
-    """Certified law object for a parsed edge (expression or table)."""
-    if edge.table is not None:
-        law = TableLaw(edge.table[0], edge.table[1])
-        if not law.convexity_margin > 0.0:  # NaN fails too
-            raise ConvexityError(float("nan"), law.convexity_margin, f"table at {edge.location}")
-        return law
-    return edge_law(edge.law_text, kind=edge.kind, interval=edge.interval)
-
-
-def certify_edges(document: ParsedDocument) -> tuple[DirectedGraph, list]:
-    """The document's graph and, per edge, its certified law or the ConvexityError refusing it.
-
-    Each distinct (law text, kind, interval) is certified once, and every
-    edge that carries it shares the one law object, or the one error; each
-    table is certified on its own.
-    """
-    certified: dict = {}
-    laws = []
-    for index, edge in enumerate(document.edges):
-        # a table is keyed by its edge's index, so it is never shared
-        key = index if edge.table is not None else (edge.law_text, edge.kind, edge.interval)
-        if key not in certified:
-            try:
-                certified[key] = build_edge_law(edge)
-            except ConvexityError as exc:
-                certified[key] = exc
-        laws.append(certified[key])
-    graph = DirectedGraph(document.nodes, tuple((e.tail, e.head) for e in document.edges))
-    return graph, laws
+                except ConvexityError as exc:
+                    certified[key] = exc
+            law = certified[key]
+        edges.append(ParsedEdge(tail, head, loc, law))
+    graph = DirectedGraph(tuple(nodes), tuple((e.tail, e.head) for e in edges))
+    return ParsedDocument(domain, graph, tuple(boundary), edges, reduced)
 
 
 def assemble(document: ParsedDocument) -> LoadedNetwork:
-    """Certify all laws and build the Network; raises on any failure."""
-    graph, laws = certify_edges(document)
-    for edge, law in zip(document.edges, laws):
-        if isinstance(law, ConvexityError):
-            raise NetworkFileError(f"law is not strictly monotone: {law}", edge.location) from law
-    network = build_network(graph, laws, document.boundary)
+    """Build the Network; raises at the first edge whose law was refused."""
+    for edge in document.edges:
+        if isinstance(edge.law, ConvexityError):
+            raise NetworkFileError(f"law is not strictly monotone: {edge.law}", edge.location) from edge.law
+    network = build_network(document.graph, [e.law for e in document.edges], document.boundary)
     return LoadedNetwork(network, document.domain, document.reduced)
 
 
@@ -249,7 +229,7 @@ def reduced_document(reduced: ReducedNetwork, domain: str = "resistor",
                 "current": _floats(table.current),
                 "cocontent": _floats(table.cocontent),
             },
-            "interpolation": reduced.interpolation,
+            "interpolation": INTERPOLATION,
         })
     certificate = {
         "samples_used": cert.samples_used,

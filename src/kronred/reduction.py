@@ -187,7 +187,6 @@ class ReducedNetwork:
     graph: DirectedGraph
     edge_tables: tuple
     certificate: AssumptionCertificate
-    interpolation: str = "monotone-cubic"
 
     def laws(self) -> list[TableLaw]:
         return [t.law() for t in self.edge_tables]
@@ -285,8 +284,15 @@ def _merge_runs(y: np.ndarray, v: np.ndarray):
     return np.asarray(merged_y), np.asarray(merged_v)
 
 
-def _solved_samples(net: Network, samples: np.ndarray):
-    return [solve_interior(net, zb) for zb in samples]
+def _solve_samples(net: Network, reduced_graph: DirectedGraph, samples: np.ndarray):
+    """Solve every boundary sample (one per row of ``samples``) on ``net``.
+
+    Returns the reduced incidence ``dhat``, the solves, and one row per
+    sample of edge values ``dhat.T @ z_B`` and of boundary currents J_B.
+    """
+    dhat = build_incidence(reduced_graph)
+    results = [solve_interior(net, zb) for zb in samples]
+    return dhat, results, samples @ dhat, np.array([res.j_b for res in results])
 
 
 def _exact_edge_currents(dhat: np.ndarray, j_b: np.ndarray) -> np.ndarray:
@@ -343,11 +349,8 @@ def _recover(
     weights and add the minimum-norm constants.  Every reduction gets the
     held-out residual, and only a cyclic one can be left unaccepted by it.
     """
-    dhat = build_incidence(reduced_graph)
     samples = plan.boundary_samples(len(reduced_graph.node_ids))
-    results = _solved_samples(net, samples)
-    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
-    j_b = np.array([res.j_b for res in results])
+    dhat, results, ys, j_b = _solve_samples(net, reduced_graph, samples)
     labels = [f"edge {tail}->{head}" for tail, head in reduced_graph.edges]
     if acyclic:
         cs = _exact_edge_currents(dhat, j_b)
@@ -425,23 +428,15 @@ class HoldoutReport:
 
 def holdout_residual(net: Network, reduced: ReducedNetwork, plan: SamplingPlan) -> HoldoutReport:
     """Input-output mismatch of the recovered tables on the plan's held-out samples."""
-    dhat = build_incidence(reduced.graph)
-    laws = reduced.laws()
     samples = plan.holdout_samples(len(reduced.graph.node_ids))
-    results = _solved_samples(net, samples)
-    ys = samples @ dhat  # (count, m_hat); row s is dhat.T @ samples[s]
+    dhat, _, ys, j_b = _solve_samples(net, reduced.graph, samples)
     currents = np.empty_like(ys)
-    for j, law in enumerate(laws):
+    for j, law in enumerate(reduced.laws()):
         currents[:, j] = law.g_at(ys[:, j])
-    worst_abs = 0.0
-    worst_rel = 0.0
-    for current, res in zip(currents, results):
-        pred = dhat @ current
-        gap = float(np.abs(pred - res.j_b).max(initial=0.0))
-        scale = 1.0 + float(np.abs(res.j_b).max(initial=0.0))
-        worst_abs = max(worst_abs, gap)
-        worst_rel = max(worst_rel, gap / scale)
-    return HoldoutReport(worst_abs, worst_rel, len(samples))
+    gaps = np.abs(currents @ dhat.T - j_b).max(axis=1, initial=0.0)
+    scales = 1.0 + np.abs(j_b).max(axis=1, initial=0.0)
+    return HoldoutReport(float(gaps.max(initial=0.0)), float((gaps / scales).max(initial=0.0)),
+                         len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +578,9 @@ def reduce_linear(net: Network) -> ReducedNetwork:
 
     Takes the Schur complement of the constant Laplacian over the central
     block and reads the reduced graph and weights straight off it; no
-    sampling and no interior solves.  Tables are exact lines.
+    sampling and no interior solves.  Tables are exact lines.  As on the
+    sampled path, parallel edges merge into one, oriented lower boundary
+    index = tail, also when no node is central.
     """
     weights = []
     for j, law in enumerate(net.laws):
@@ -596,11 +593,6 @@ def reduce_linear(net: Network) -> ReducedNetwork:
         consistency_residual=0.0, integrability_max_asymmetry=0.0,
         accepted=True, exact_linear=True,
     )
-    if not net.partition.central:
-        graph = DirectedGraph(ids, net.graph.edges)
-        certificate.acyclic = is_acyclic(graph)
-        tables = tuple(_line_table(w) for w in weights)
-        return ReducedNetwork(graph, tables, certificate)
     graph, reduced_weights = graph_from_laplacian(_schur(net, np.asarray(weights))[0], ids)
     certificate.acyclic = is_acyclic(graph)
     tables = tuple(_line_table(w) for w in reduced_weights)

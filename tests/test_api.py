@@ -28,7 +28,7 @@ SIGNATURES = {
     "NetworkFileError": "(message, location='')",
     "NodePartition": "(boundary, central)",
     "NonQuadraticLawError": "(edge)",
-    "ReducedNetwork": "(graph, edge_tables, certificate, interpolation='monotone-cubic')",
+    "ReducedNetwork": "(graph, edge_tables, certificate)",
     "SamplingPlan": "(count=64, scale=2.0, seed=0)",
     "SolveError": "(message, result=None, edge='')",
     "SolveResult": "(z_c, j_b, iterations, final_residual, converged, z_full)",

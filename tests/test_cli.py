@@ -75,6 +75,22 @@ def test_check_flags_convexity_failure(tmp_path, capsys):
     assert "FAIL" in out and "convexity" in out
 
 
+def test_syntax_error_wins_over_earlier_refused_law(tmp_path, capsys):
+    # edge 0 is refused (decreasing), edge 1 does not parse: the parse error is reported
+    doc = dict(DIODE, edges=[
+        {"from": "1", "to": "0", "law": "-y"},
+        {"from": "2", "to": "0", "law": "exp(q)"},
+    ])
+    path = write(tmp_path, "net.json", doc)
+    with pytest.raises(NetworkFileError, match=r"edges\[1\]") as info:
+        load_network(path)
+    assert "does not parse" in str(info.value)
+    for verb in (["check"], ["solve", "1=1", "2=0"]):
+        assert main([verb[0], path, *verb[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edges[1]" in err and "edges[0]" not in err
+
+
 def test_check_flags_disconnected_graph(tmp_path, capsys):
     bad = {
         "nodes": ["0", "1", "2", "3"],
@@ -337,6 +353,47 @@ def test_power_min_heat_quadratic(capsys):
     assert "max |difference|" in out
 
 
+@pytest.mark.parametrize("options", [["--min-heat"], ["--min-heat", "--degree", "2"]])
+def test_min_heat_assignments_in_any_order(options, capsys):
+    path = str(NETWORKS_DIR / "linear_series.json")
+    outputs = []
+    for argv in (["power", path, "1=1", "2=0", *options], ["power", path, *options, "1=1", "2=0"],
+                 ["power", path, "1=1", *options, "2=0"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert "max |difference|" in outputs[0].out
+    assert all(out == outputs[0] for out in outputs)
+
+
+@pytest.mark.parametrize("extra", [["--bogus"], ["--bogus", "2=0"], ["stray"]])
+def test_unknown_arguments_still_exit_2(extra, capsys):
+    argv = ["power", str(NETWORKS_DIR / "linear_series.json"), "1=1", "--min-heat", *extra]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {extra[0]}" in err and "2=0" not in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (kr.SolveError("no convergence"), 3, "solver failure: "),
+    (kr.AssumptionError("support is not connected"), 4, "assumption failure: "),
+])
+def test_reduce_failure_writes_document_and_exits(error, code, prefix, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(kronred.cli, "reduce_network", fail)
+    out = tmp_path / "failed.json"
+    argv = ["reduce", str(NETWORKS_DIR / "diode_same.json"), "--seed", "3", "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
+    document = json.loads(out.read_text(encoding="utf-8"))
+    assert document["error"] == str(error)
+    assert document["certificate"] == {"failed": True, "reason": str(error)}
+    assert document["sampling"] == {"count": 64, "scale": 2.0, "seed": 3}
+
+
 def test_power_min_heat_refuses_diode(tmp_path, capsys):
     src = write(tmp_path, "net.json", DIODE)
     code = main(["power", src, "1=1", "2=0", "--min-heat"])
@@ -392,9 +449,8 @@ def test_bad_table_entry_is_usage_error(column, value, verb, tmp_path, capsys):
 
 def test_table_with_nan_margin_is_not_certified():
     y = np.array([-1.0, 0.0, 1.0, 2.0])
-    edge = kronred.netfile.ParsedEdge("a", "b", "edges[0]", table=(y, np.array([-1.0, np.nan, 1.0, 2.0])))
     with pytest.raises(kr.ConvexityError):
-        kronred.netfile.build_edge_law(edge)
+        kronred.netfile.certify_table(y, np.array([-1.0, np.nan, 1.0, 2.0]), "edges[0]")
 
 
 def test_check_passes_on_narrow_reduced_tables(tmp_path, capsys):

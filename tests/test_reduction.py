@@ -270,6 +270,19 @@ def test_reduce_linear_no_central_nodes():
     np.testing.assert_allclose(rn.edge_tables[0].current, 2.0 * rn.edge_tables[0].y)
 
 
+def test_reduce_linear_no_central_nodes_merges_parallel_edges():
+    # boundary order (2, 1): the reduced edge runs from the lower boundary index
+    g = kr.DirectedGraph(("1", "2"), (("2", "1"), ("1", "2")))
+    net = kr.build_network(g, [kr.edge_law("2*y"), kr.edge_law("y")], ("2", "1"))
+    rn = kr.reduce_linear(net)
+    assert rn.graph.edges == (("2", "1"),)
+    assert rn.certificate.acyclic is True
+    table = rn.edge_tables[0]
+    np.testing.assert_allclose(table.current, 3.0 * table.y, atol=1e-12)
+    sampled, _ = kr.infer_reduced_graph(net, SamplingPlan(count=4))
+    assert rn.graph == sampled
+
+
 def test_reduce_linear_rejects_nonquadratic(diode_opposite):
     with pytest.raises(NonQuadraticLawError):
         kr.reduce_linear(diode_opposite)
