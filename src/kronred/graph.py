@@ -95,14 +95,21 @@ def is_acyclic(g: DirectedGraph) -> bool:
     return g.m == g.n - _spanning_forest(g)[1]
 
 
+def _support(lap: np.ndarray) -> frozenset:
+    """Index pairs i < k with |lap[i, k]| > 1e-10 + 1e-9 max|diag lap|: the edges lap shows."""
+    n = len(lap)
+    tol = 1e-10 + 1e-9 * np.abs(np.diag(lap)).max(initial=0.0)
+    return frozenset((i, k) for i in range(n) for k in range(i + 1, n) if abs(lap[i, k]) > tol)
+
+
 def graph_from_laplacian(
     laplacian: np.ndarray,
     node_ids: tuple[str, ...] | list[str],
 ) -> tuple[DirectedGraph, np.ndarray]:
     """Recover a simple weighted graph from a Laplacian sign pattern.
 
-    One edge per off-diagonal entry below -(1e-10 + 1e-9 max|diag L|),
-    weight -L[i, k], oriented lowest-index-node = tail.  Validates
+    One edge per pair i < k in the ``_support`` of (L + L^T) / 2, weight
+    -(L[i, k] + L[k, i]) / 2, oriented lowest-index-node = tail.  Validates
     symmetry, zero row sums, and nonpositive off-diagonals; checks the
     reconstruction D W D^T reproduces L within 1e-8 * (1 + max|L|).
     """
@@ -118,17 +125,14 @@ def graph_from_laplacian(
     if np.abs(row_sums).max(initial=0.0) > tol:
         i = int(np.argmax(np.abs(row_sums)))
         raise GraphStructureError(f"row {i} sums to {row_sums[i]!r}, not 0")
-    edge_tol = 1e-10 + 1e-9 * (np.abs(np.diag(L)).max() if n else 0.0)
+    sym = 0.5 * (L + L.T)
     edges = []
     weights = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            entry = 0.5 * (L[i, k] + L[k, i])
-            if entry > edge_tol:
-                raise GraphStructureError(f"positive off-diagonal entry L[{i},{k}] = {entry!r}")
-            if entry < -edge_tol:
-                edges.append((node_ids[i], node_ids[k]))
-                weights.append(-entry)
+    for i, k in sorted(_support(sym)):
+        if sym[i, k] > 0.0:
+            raise GraphStructureError(f"positive off-diagonal entry L[{i},{k}] = {sym[i, k]!r}")
+        edges.append((node_ids[i], node_ids[k]))
+        weights.append(-sym[i, k])
     graph = DirectedGraph(tuple(node_ids), tuple(edges))
     w = np.asarray(weights, dtype=float)
     d = build_incidence(graph)

@@ -90,12 +90,16 @@ class Network:
 
     @cached_property
     def _law_index(self) -> _LawIndex:
-        groups: dict = {}
+        # hashing an EdgeLaw walks its tree: hash each distinct object once
+        by_object: dict = {}
         for j, law in enumerate(self.laws):
-            groups.setdefault(law, []).append(j)
+            by_object.setdefault(id(law), (law, []))[1].append(j)
+        groups: dict = {}
+        for law, idx in by_object.values():
+            groups.setdefault(law, []).extend(idx)
         bounds = np.array([law.validity_interval for law in self.laws], dtype=float)
         lo, hi = bounds.reshape(-1, 2).T
-        return _LawIndex(tuple((law, np.array(idx)) for law, idx in groups.items()), lo, hi)
+        return _LawIndex(tuple((law, np.sort(idx)) for law, idx in groups.items()), lo, hi)
 
     @cached_property
     def _edge_list(self) -> _EdgeList:

@@ -24,6 +24,7 @@ from .errors import AssumptionError, NonQuadraticLawError, SolveError
 from .exprlaw import EdgeLaw, differentiate, evaluate
 from .graph import (
     DirectedGraph,
+    _support,
     build_incidence,
     fundamental_cycles,
     graph_from_laplacian,
@@ -39,8 +40,6 @@ from .potential import (
 )
 from .solver import _schur, _schur_at, solve_interior
 
-SUPPORT_ABS_TOL = 1e-10
-SUPPORT_REL_TOL = 1e-9
 CONSISTENCY_DY = 1e-9
 CONSISTENCY_DI = 1e-7
 MERGE_WINDOW = 1e-7
@@ -209,14 +208,6 @@ def boundary_ids(net: Network) -> tuple[str, ...]:
     return tuple(net.graph.node_ids[i] for i in net.partition.boundary)
 
 
-def _support_of(h: np.ndarray) -> frozenset:
-    n = h.shape[0]
-    tau = SUPPORT_ABS_TOL + SUPPORT_REL_TOL * (np.abs(np.diag(h)).max() if n else 0.0)
-    return frozenset(
-        (i, k) for i in range(n) for k in range(i + 1, n) if abs(h[i, k]) > tau
-    )
-
-
 def infer_reduced_graph(net: Network, plan: SamplingPlan) -> tuple[DirectedGraph, AssumptionCertificate]:
     """Sample reduced Hessians and read the edge support off their pattern.
 
@@ -229,7 +220,7 @@ def infer_reduced_graph(net: Network, plan: SamplingPlan) -> tuple[DirectedGraph
     ids = boundary_ids(net)
     samples = plan.boundary_samples(len(ids))
     hessians = [reduced_hessian(net, zb) for zb in samples]
-    supports = tuple(_support_of(h) for h in hessians)
+    supports = tuple(_support(h) for h in hessians)
     union = sorted(set().union(*supports))
     stable = all(s == supports[0] for s in supports)
     graph = DirectedGraph(ids, tuple((ids[i], ids[k]) for i, k in union))
@@ -475,7 +466,7 @@ def integrability_diagnostic(
 
     def correction(zb: np.ndarray) -> np.ndarray:
         h = reduced_hessian(net, zb)
-        extra = sorted(_support_of(h).difference(pairs))
+        extra = sorted(_support(h).difference(pairs))
         if extra:
             i, k = extra[0]
             raise AssumptionError(

@@ -11,17 +11,11 @@ gives the reduced Laplacian H_BB - H_BC H_CC^{-1} H_CB (the Kron reduction
 of the network weighted by w) and the sensitivity dz_C/dz_B =
 -H_CC^{-1} H_CB; ``_schur`` forms both from one solve against H_CC.
 
-Every block comes from the edge-list scatter in ``potential``, in partition
-order, and every dense factorization or solve on it calls scipy's LAPACK:
-``dpotrf``/``dpotrs`` in the Newton loop and ``dgesv`` in ``_schur``.  numpy
-and scipy link separate OpenBLAS builds, and switching between them on a
-large block costs more than the factorization itself: on the 1020 x 1020
-grid-32 interior block (2-CPU box), scipy's ``dpotrf`` followed by
-``np.linalg.solve`` took 100 ms, against 40 ms when followed by scipy's
-``dgesv`` and 12 ms for ``dpotrf`` alone.  numpy's own Cholesky took 23 ms
-on that block and 19 us on a 2 x 2 one (scipy's ``dpotrf`` plus ``dpotrs``:
-2 us), so the LAPACK stays scipy's.  ``scipy.optimize`` is imported only by
-``min_heat_check``.
+H_CC is symmetric positive definite for strictly increasing laws, so a
+Newton step and ``_schur`` eliminate it through one Cholesky factor
+(``_factor_central``) in scipy's LAPACK: numpy links a separate OpenBLAS
+build, and switching between the two on a large block costs more than the
+factorization.  ``scipy.optimize`` is imported only by ``min_heat_check``.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import HomogeneityError, IntervalError, SolveError
 from .potential import (
@@ -89,6 +83,28 @@ def cho_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _require_finite(net: Network, w: np.ndarray) -> None:
+    """Raise SolveError naming the first edge whose weight is not finite."""
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise SolveError("edge weight is not finite", edge=edge_label(net, int(np.argmin(finite))))
+
+
+def _factor_central(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partition-ordered Laplacian of the edge weights w, and the Cholesky factor of H_CC.
+
+    Raises SolveError when H_CC is not positive definite; only then are the
+    weights looked at, to name an edge whose weight is not finite.
+    """
+    n_b = len(net.partition.boundary)
+    lap = _laplacian(net, w)
+    try:
+        return lap, cho_factor(lap[n_b:, n_b:])
+    except LinAlgError as exc:
+        _require_finite(net, w)
+        raise SolveError("interior Hessian factorization failed") from exc
+
+
 def solve_interior(net: Network, z_b, init=None) -> SolveResult:
     """Solve the zero interior-current constraint for z_C at fixed z_B.
 
@@ -137,11 +153,11 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
     converged = res_norm <= DEFAULT_TOL
 
     while not converged and iterations < DEFAULT_MAX_ITER:
-        h_cc = _laplacian(net, _gp_vec(net, y))[n_b:, n_b:]
         try:
-            factor = cho_factor(h_cc)
-        except LinAlgError as exc:
-            raise SolveError("interior Hessian factorization failed", result=partial()) from exc
+            factor = _factor_central(net, _gp_vec(net, y))[1]
+        except SolveError as exc:
+            exc.result = partial()
+            raise
         step = -cho_solve(factor, j[n_b:])
         t = 1.0
         last_bad = -1
@@ -181,25 +197,19 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
 def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced Laplacian and sensitivity of the network weighted by edge weights w.
 
-    Scatters the partition-ordered Laplacian once, slices its blocks and
-    returns (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB), both in partition
-    order, from a single LU solve (scipy's ``dgesv``, the LAPACK the Newton
-    loop factors with) against H_CC.  Raises SolveError when a weight is not
-    finite or H_CC is singular.
+    Returns (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB) in partition order
+    from the Cholesky factor of H_CC (``_factor_central``, as a Newton step
+    does).  Raises SolveError when a weight is not finite, even one that
+    enters only H_BB, or when H_CC is not positive definite.
     """
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise SolveError("edge weight is not finite", edge=edge_label(net, int(np.argmin(finite))))
+    _require_finite(net, w)
     n_b = len(net.partition.boundary)
-    lap = _laplacian(net, w)
-    h_bb = lap[:n_b, :n_b]
-    if n_b == len(lap):
-        return h_bb, np.zeros((0, n_b))
+    if n_b == net.graph.n:
+        return _laplacian(net, w), np.zeros((0, n_b))
+    lap, factor = _factor_central(net, w)
     h_cb = lap[n_b:, :n_b]
-    _, _, x, info = dgesv(lap[n_b:, n_b:].T, h_cb, overwrite_a=1)  # .T: H_CC is symmetric
-    if info > 0:
-        raise SolveError("interior Hessian is singular")
-    return h_bb - h_cb.T @ x, -x
+    x = cho_solve(factor, h_cb)
+    return lap[:n_b, :n_b] - h_cb.T @ x, -x
 
 
 def _schur_at(net: Network, result: SolveResult) -> tuple[np.ndarray, np.ndarray]:

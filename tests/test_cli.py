@@ -148,7 +148,7 @@ def test_solve_non_finite_hessian_exits_3(tmp_path, capsys):
     }
     code = main(["solve", write(tmp_path, "net.json", doc), "1=0", "2=-1", "3=1"])
     assert code == 3
-    assert "factorization failed" in capsys.readouterr().err
+    assert "edge weight is not finite (edge 0 (1->0))" in capsys.readouterr().err
 
 
 def test_solve_missing_assignment_is_usage_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kronred as kr
-from kronred import reduction
+from kronred import reduction, solver
 from kronred.errors import AssumptionError, NonQuadraticLawError
 from kronred.graph import build_incidence
 from kronred.netfile import load_network
@@ -427,6 +427,35 @@ def test_reduce_solve_count(monkeypatch, make, extra):
     monkeypatch.setattr(reduction, "solve_interior", counting)
     kr.reduce_network(make(), SamplingPlan(count=16, seed=0))
     assert len(calls) == 2 * 16 + extra
+
+
+@pytest.mark.parametrize("make", [diode_opposite_net, diode_ring_net])
+def test_reduce_factors_once_per_elimination(monkeypatch, make):
+    # every Newton iteration and every Schur complement factors H_CC once,
+    # and nothing else does
+    counts = {"factor": 0, "schur": 0, "iterations": 0}
+    factor, schur, solve = solver.cho_factor, solver._schur, solver.solve_interior
+
+    def counting_factor(*args):
+        counts["factor"] += 1
+        return factor(*args)
+
+    def counting_schur(*args):
+        counts["schur"] += 1
+        return schur(*args)
+
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        counts["iterations"] += result.iterations
+        return result
+
+    monkeypatch.setattr(solver, "cho_factor", counting_factor)
+    for module in (solver, reduction):
+        monkeypatch.setattr(module, "_schur", counting_schur)
+        monkeypatch.setattr(module, "solve_interior", counting_solve)
+    kr.reduce_network(make(), SamplingPlan(count=16, seed=0))
+    assert counts["schur"] > 0 and counts["iterations"] > 0
+    assert counts["factor"] == counts["iterations"] + counts["schur"]
 
 
 def test_pooling_rejects_inconsistent_pairs():

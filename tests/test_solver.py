@@ -252,8 +252,9 @@ def test_non_finite_interior_hessian_is_solve_error():
     laws = [kr.edge_law("y + 0.5*sqrt(y^2)", interval=(-8.0, 8.5)),
             kr.edge_law("exp(y) - 1"), kr.edge_law("y")]
     net = kr.build_network(g, laws, ("1", "2", "3"))
-    with pytest.raises(SolveError, match="factorization failed") as info:
+    with pytest.raises(SolveError, match="not finite") as info:
         kr.solve_interior(net, [0.0, -1.0, 1.0])
+    assert info.value.edge.startswith("0 (1->0)")
     assert not info.value.result.converged
     assert info.value.result.iterations == 0
     # at z_B = 0 the start already solves the interior, so no factorization
@@ -262,3 +263,18 @@ def test_non_finite_interior_hessian_is_solve_error():
         with pytest.raises(SolveError, match="not finite") as info:
             derived(net, [0.0, 0.0, 0.0])
         assert info.value.edge.startswith("0 (1->0)")
+
+
+def test_indefinite_interior_hessian_is_solve_error():
+    # certified (margin 0.033 on the scan grid), yet g'(+-0.00097) = -0.187;
+    # at z_B = (0.00097, -0.00097) the start solves the interior, and H_CC
+    # = -0.374 is not positive definite: its Schur complement is no Laplacian
+    law = kr.edge_law("y - 0.0011*tanh(1000*(y - 0.00097)) - 0.0011*tanh(1000*(y + 0.00097))")
+    assert law.convexity_margin > 0.0
+    g = kr.DirectedGraph(("0", "1", "2"), (("1", "0"), ("2", "0")))
+    net = kr.build_network(g, [law, law], ("1", "2"))
+    z_b = [0.00097, -0.00097]
+    assert kr.solve_interior(net, z_b).iterations == 0
+    for derived in (kr.reduced_hessian, kr.sensitivity):
+        with pytest.raises(SolveError, match="factorization failed"):
+            derived(net, z_b)
