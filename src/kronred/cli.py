@@ -93,7 +93,7 @@ def _inside_intervals(net, z: np.ndarray) -> np.ndarray:
     its interval; the half leaves room for rounding in the scaled values.
     """
     index = net._law_index
-    y = _edge_values(net, z[net._edge_list.order])
+    y = _edge_values(net, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = np.maximum(y / index.hi, y / index.lo).max(initial=0.0)
     return z / (2.0 * reach) if reach > 1.0 else z

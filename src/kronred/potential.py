@@ -6,12 +6,13 @@ Laplacian D diag(g'(D^T z)) D^T, so K is convex and shift invariant.
 
 None of these products uses the dense n x m incidence matrix D, which
 ``Network.incidence`` builds for callers on first read.  Each network
-caches its edge list in partition order (boundary nodes first, then
-central): D^T z is a gather z[head] - z[tail], D g is a scatter-add of g
-at the heads minus the tails, and D diag(w) D^T is one scatter-add of the
-four entries +w, +w, -w, -w per edge into n x n, so its boundary and
-central blocks are plain slices.  That is O(m + n^2) work instead of the
-O(n^2 m) of a dense product.
+caches its edge list: D^T z is a gather z[head] - z[tail], and D g is a
+scatter-add of g at the heads minus the tails, both over nodal vectors in
+node-list order.  D diag(w) D^T is one scatter-add of the four entries
++w, +w, -w, -w per edge into n x n in partition order (boundary nodes
+first, then central), so its boundary and central blocks are plain
+slices; nodal vectors never take that order.  That is O(m + n^2) work
+instead of the O(n^2 m) of a dense product.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ class NodePartition:
 class _LawIndex:
     """Edge laws arranged for array evaluation.
 
-    ``groups`` holds one (law, edge indices) pair per distinct law, so all
-    edges sharing a law are evaluated by one call.  Laws are told apart by
-    equality: equal parsed laws share a group, and each table object is its
-    own.  ``lo``/``hi`` are the validity interval ends per edge.
+    ``groups`` holds one (law, edge indices) pair per distinct law, in the
+    order of each group's first edge, so all edges sharing a law are
+    evaluated by one call.  Laws are told apart by equality: equal parsed
+    laws share a group, and each table object is its own.  ``lo``/``hi``
+    are the validity interval ends per edge.
     """
 
     groups: tuple
@@ -61,12 +63,14 @@ _LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 @dataclass(frozen=True)
 class _EdgeList:
-    """Edges as index arrays over the partition order (boundary, then central).
+    """Edges as index arrays, and the Laplacian's partition-ordered scatter.
 
-    ``order[p]`` is the node at partition position p; ``tail``/``head`` are
-    the positions of each edge's ends; row j of ``entries`` holds the flat
-    positions in the n x n partition-ordered Laplacian of edge j's four
-    entries, in the order of ``_LAPLACIAN_SIGNS``.
+    ``tail``/``head`` are the node indices of each edge's ends.  ``order[p]``
+    is the node at partition position p (boundary, then central), so
+    ``order[:n_B]`` and ``order[n_B:]`` index the boundary and central
+    entries of a nodal vector; row j of ``entries`` holds the flat positions
+    in the n x n partition-ordered Laplacian of edge j's four entries, in
+    the order of ``_LAPLACIAN_SIGNS``.
     """
 
     order: np.ndarray
@@ -108,8 +112,9 @@ class Network:
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n)
         ends = np.array(self.graph.edge_indices(), dtype=np.intp).reshape(-1, 2)
-        tail, head = position[ends].T
-        entries = np.stack([tail * n + tail, head * n + head, tail * n + head, head * n + tail], 1)
+        t, h = position[ends].T
+        entries = np.stack([t * n + t, h * n + h, t * n + h, h * n + t], 1)
+        tail, head = ends.T
         return _EdgeList(order, tail, head, entries)
 
 
@@ -145,15 +150,15 @@ def _first_violation(net: Network, y: np.ndarray) -> int:
 
 
 def _edge_values(net: Network, z: np.ndarray) -> np.ndarray:
-    """D^T z for z in partition order: z[head] - z[tail] per edge."""
+    """D^T z for z in node-list order: z[head] - z[tail] per edge."""
     edges = net._edge_list
     return z[edges.head] - z[edges.tail]
 
 
 def _nodal_sums(net: Network, g: np.ndarray) -> np.ndarray:
-    """D g in partition order: per node, g summed over in-edges minus out-edges."""
+    """D g in node-list order: per node, g summed over in-edges minus out-edges."""
     edges = net._edge_list
-    n = len(edges.order)
+    n = net.graph.n
     return np.bincount(edges.head, g, n) - np.bincount(edges.tail, g, n)
 
 
@@ -165,19 +170,12 @@ def _laplacian(net: Network, w: np.ndarray) -> np.ndarray:
     return lap.reshape(n, n)
 
 
-def _node_order(net: Network, v: np.ndarray) -> np.ndarray:
-    """A partition-ordered nodal vector rearranged into node-list order."""
-    out = np.empty(len(v))
-    out[net._edge_list.order] = v
-    return out
-
-
 def edge_voltages(net: Network, z: np.ndarray) -> np.ndarray:
     """y = D^T z; raises IntervalError when a value leaves its law's validity interval."""
     z = np.asarray(z, dtype=float)
     if len(z) != net.graph.n:
         raise ValueError(f"expected {net.graph.n} node values, got {len(z)}")
-    y = _edge_values(net, z[net._edge_list.order])
+    y = _edge_values(net, z)
     j = _first_violation(net, y)
     if j >= 0:
         raise IntervalError(float(y[j]), net.laws[j].validity_interval, edge_label(net, j))
@@ -210,7 +208,7 @@ def k_value(net: Network, z: np.ndarray) -> float:
 def nodal_currents(net: Network, z: np.ndarray) -> np.ndarray:
     """Gradient of K: the nodal current vector D g(D^T z); sums to zero."""
     y = edge_voltages(net, z)
-    return _node_order(net, _nodal_sums(net, _g_vec(net, y)))
+    return _nodal_sums(net, _g_vec(net, y))
 
 
 def weighted_laplacian(net: Network, z: np.ndarray) -> np.ndarray:
@@ -241,5 +239,5 @@ def power_balance_check(net: Network, z: np.ndarray) -> PowerBalance:
     y = edge_voltages(net, z)
     currents = _g_vec(net, y)
     edge_power = float(y @ currents)
-    nodal_power = float(z @ _node_order(net, _nodal_sums(net, currents)))
+    nodal_power = float(z @ _nodal_sums(net, currents))
     return PowerBalance(edge_power, nodal_power, abs(edge_power - nodal_power))

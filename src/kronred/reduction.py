@@ -502,7 +502,6 @@ class CurvePoint:
     current: float
     cocontent: float
     converged: bool
-    message: str = ""
 
 
 def effective_curve(net: Network, a: str, b: str, v_grid) -> list[CurvePoint]:
@@ -528,16 +527,11 @@ def effective_curve(net: Network, a: str, b: str, v_grid) -> list[CurvePoint]:
     for v in np.asarray(v_grid, dtype=float):
         try:
             res = solve_interior(two_terminal, np.array([v, 0.0]))
-        except SolveError as exc:
-            points.append(CurvePoint(float(v), float("nan"), float("nan"), False, str(exc)))
+        except SolveError:
+            points.append(CurvePoint(float(v), float("nan"), float("nan"), False))
             continue
-        current = float(res.j_b[0])
-        if anchor is None:
-            points.append(CurvePoint(float(v), current, float("nan"), True,
-                                     "no co-content anchor (solve at 0 failed)"))
-        else:
-            g = k_value(two_terminal, res.z_full) - anchor
-            points.append(CurvePoint(float(v), current, float(g), True))
+        g = float("nan") if anchor is None else k_value(two_terminal, res.z_full) - anchor
+        points.append(CurvePoint(float(v), float(res.j_b[0]), float(g), True))
     return points
 
 
@@ -556,7 +550,7 @@ def _is_quadratic(law) -> bool:
 
 
 def is_all_quadratic(net: Network) -> bool:
-    return all(_is_quadratic(law) for law in net.laws)
+    return all(_is_quadratic(law) for law, _ in net._law_index.groups)
 
 
 def _line_table(weight: float) -> EdgeTable:
@@ -573,18 +567,18 @@ def reduce_linear(net: Network) -> ReducedNetwork:
     sampled path, parallel edges merge into one, oriented lower boundary
     index = tail, also when no node is central.
     """
-    weights = []
-    for j, law in enumerate(net.laws):
+    weights = np.empty(net.graph.m)
+    for law, idx in net._law_index.groups:  # ordered by first edge
         if not _is_quadratic(law):
-            raise NonQuadraticLawError(edge_label(net, j))
-        weights.append(float(law.gp_at(0.0)))
+            raise NonQuadraticLawError(edge_label(net, int(idx[0])))
+        weights[idx] = float(law.gp_at(0.0))
     ids = boundary_ids(net)
     certificate = AssumptionCertificate(
         samples_used=0, support_stable=True, supports=(),
         consistency_residual=0.0, integrability_max_asymmetry=0.0,
         accepted=True, exact_linear=True,
     )
-    graph, reduced_weights = graph_from_laplacian(_schur(net, np.asarray(weights))[0], ids)
+    graph, reduced_weights = graph_from_laplacian(_schur(net, weights)[0], ids)
     certificate.acyclic = is_acyclic(graph)
     tables = tuple(_line_table(w) for w in reduced_weights)
     return ReducedNetwork(graph, tables, certificate)

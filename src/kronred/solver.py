@@ -35,7 +35,6 @@ from .potential import (
     _gp_vec,
     _laplacian,
     _nodal_sums,
-    _node_order,
     dissipated_power,
     edge_label,
     edge_voltages,
@@ -52,16 +51,12 @@ HOMOGENEITY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SolveResult:
-    z_c: np.ndarray  # central potentials, in partition.central order
+    z_c: np.ndarray  # central potentials, in partition.central order: z_full[central]
     j_b: np.ndarray  # boundary nodal currents, in partition.boundary order
     iterations: int
     final_residual: float
     converged: bool
-    z_full: np.ndarray  # all node potentials, node-list order
-
-
-def _assemble(net: Network, z_c: np.ndarray, z_b: np.ndarray) -> np.ndarray:
-    return _node_order(net, np.concatenate((z_b, z_c)))
+    z_full: np.ndarray  # all node potentials in node-list order, z_B and z_C in their slots
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -118,37 +113,36 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
     the box.
     """
     z_b = np.asarray(z_b, dtype=float)
+    order = net._edge_list.order
     n_b = len(net.partition.boundary)
-    n_c = len(net.partition.central)
+    boundary, central = order[:n_b], order[n_b:]
     if len(z_b) != n_b:
         raise ValueError(f"expected {n_b} boundary values, got {len(z_b)}")
+    z = np.empty(net.graph.n)  # the iterate, in node-list order
+    z[boundary] = z_b
     if init is None:
-        z_c = np.full(n_c, z_b.sum() / n_b)
+        z[central] = z_b.sum() / n_b
     else:
-        z_c = np.asarray(init, dtype=float)
-        if len(z_c) != n_c:
-            raise ValueError(f"expected {n_c} central values, got {len(z_c)}")
+        init = np.asarray(init, dtype=float)
+        if len(init) != len(central):
+            raise ValueError(f"expected {len(central)} central values, got {len(init)}")
+        z[central] = init
 
-    def currents(yv):  # nodal currents in partition order
+    def currents(yv):
         return _nodal_sums(net, _g_vec(net, yv))
 
-    y = _edge_values(net, np.concatenate((z_b, z_c)))
+    y = _edge_values(net, z)
     bad = _first_violation(net, y)
-    if not n_c:
-        if bad >= 0:
-            raise SolveError("boundary assignment leaves the validity interval",
-                             edge=edge_label(net, bad))
-        return SolveResult(z_c, currents(y), 0, 0.0, True, _assemble(net, z_c, z_b))
     if bad >= 0:
-        raise SolveError("initial iterate outside the validity interval",
-                         edge=edge_label(net, bad))
+        message = ("initial iterate outside the validity interval" if len(central)
+                   else "boundary assignment leaves the validity interval")
+        raise SolveError(message, edge=edge_label(net, bad))
 
     def partial():
-        return SolveResult(z_c, np.full(n_b, np.nan), iterations, res_norm, False,
-                           _assemble(net, z_c, z_b))
+        return SolveResult(z[central], np.full(n_b, np.nan), iterations, res_norm, False, z)
 
     j = currents(y)
-    res_norm = float(np.abs(j[n_b:]).max())
+    res_norm = float(np.abs(j[central]).max(initial=0.0))
     iterations = 0
     converged = res_norm <= DEFAULT_TOL
 
@@ -158,16 +152,17 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
         except SolveError as exc:
             exc.result = partial()
             raise
-        step = -cho_solve(factor, j[n_b:])
+        step = -cho_solve(factor, j[central])
         t = 1.0
         last_bad = -1
         while True:
-            trial = z_c + t * step
-            y_trial = _edge_values(net, np.concatenate((z_b, trial)))
+            trial = z.copy()
+            trial[central] += t * step
+            y_trial = _edge_values(net, trial)
             bad = _first_violation(net, y_trial)
             if bad < 0:
                 j_trial = currents(y_trial)
-                trial_norm = float(np.abs(j_trial[n_b:]).max())
+                trial_norm = float(np.abs(j_trial[central]).max())
                 if trial_norm <= (1.0 - ARMIJO_C * t) * res_norm:
                     break
             else:
@@ -181,7 +176,7 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
                         edge=edge_label(net, last_bad),
                     )
                 raise SolveError("line search failed to reduce the residual", result=partial())
-        z_c, y, j, res_norm = trial, y_trial, j_trial, trial_norm
+        z, y, j, res_norm = trial, y_trial, j_trial, trial_norm
         iterations += 1
         converged = res_norm <= DEFAULT_TOL
 
@@ -191,7 +186,7 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
             "(global solvability or validity-interval failure suspected)",
             result=partial(),
         )
-    return SolveResult(z_c, j[:n_b], iterations, res_norm, True, _assemble(net, z_c, z_b))
+    return SolveResult(z[central], j[boundary], iterations, res_norm, True, z)
 
 
 def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +209,7 @@ def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _schur_at(net: Network, result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
     """``_schur`` of the network weighted by its edge slopes at a solved point."""
-    z = result.z_full[net._edge_list.order]
-    return _schur(net, _gp_vec(net, _edge_values(net, z)))
+    return _schur(net, _gp_vec(net, _edge_values(net, result.z_full)))
 
 
 def interior_hessian_check(net: Network, z) -> float:
@@ -249,8 +243,6 @@ class MinHeatReport:
     z_c_constraint: np.ndarray
     z_c_power_min: np.ndarray
     max_abs_difference: float
-    power_at_constraint: float
-    power_at_minimum: float
 
 
 def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
@@ -282,12 +274,11 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
     result = solve_interior(net, z_b)
     central = list(net.partition.central)
     if not central:
-        return MinHeatReport(k, np.empty(0), np.empty(0), 0.0,
-                             dissipated_power(net, result.z_full),
-                             dissipated_power(net, result.z_full))
+        return MinHeatReport(k, np.empty(0), np.empty(0), 0.0)
 
     def power_of(z_c_vec: np.ndarray) -> float:
-        z = _assemble(net, np.atleast_1d(z_c_vec), z_b)
+        z = result.z_full.copy()
+        z[central] = z_c_vec
         try:
             return dissipated_power(net, z)
         except IntervalError:
@@ -307,5 +298,4 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
         z_c_min = np.asarray(opt.x, dtype=float)
 
     diff = float(np.abs(result.z_c - z_c_min).max())
-    return MinHeatReport(k, result.z_c, z_c_min, diff,
-                         power_of(result.z_c), power_of(z_c_min))
+    return MinHeatReport(k, result.z_c, z_c_min, diff)

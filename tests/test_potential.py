@@ -98,9 +98,9 @@ def test_weighted_laplacian_star_degree(linear_star):
 def _assert_edge_list_matches_incidence(net, rng):
     order = list(net.partition.boundary + net.partition.central)
     assert net._edge_list.order.tolist() == order
-    d = net.incidence[order]  # dense oracle, rows in partition order
+    d = net.incidence  # dense oracle, rows in node-list order
     w = rng.uniform(0.1, 3.0, net.graph.m)
-    dense = (d * w) @ d.T
+    dense = (d[order] * w) @ d[order].T  # only the Laplacian is partition-ordered
     assert np.abs(_laplacian(net, w) - dense).max() <= 1e-14 * np.abs(dense).max()
     z = rng.uniform(-2.0, 2.0, net.graph.n)
     assert np.abs(_edge_values(net, z) - d.T @ z).max() <= 1e-14 * np.abs(z).max()

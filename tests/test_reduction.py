@@ -286,6 +286,16 @@ def test_reduce_linear_no_central_nodes_merges_parallel_edges():
 def test_reduce_linear_rejects_nonquadratic(diode_opposite):
     with pytest.raises(NonQuadraticLawError):
         kr.reduce_linear(diode_opposite)
+    # the error names the first non-linear edge, whichever law it carries
+    g = kr.DirectedGraph(
+        ("0", "1", "2", "3"),
+        (("1", "2"), ("2", "3"), ("1", "3"), ("0", "1"), ("0", "2"), ("0", "3")),
+    )
+    texts = ("y", "2*y", "exp(y) - 1", "y", "sinh(y)", "exp(y) - 1")
+    net = kr.build_network(g, [kr.edge_law(t) for t in texts], ("1", "2", "3"))
+    with pytest.raises(NonQuadraticLawError) as info:
+        kr.reduce_linear(net)
+    assert info.value.edge == "2 (1->3)"
 
 
 def _reduced_laplacian(graph, w, boundary_ids):

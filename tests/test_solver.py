@@ -1,13 +1,17 @@
 """Interior solves: Newton convergence, sensitivity, boundary potential."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import kronred as kr
 from kronred.errors import HomogeneityError, SolveError
+from kronred.solver import DEFAULT_TOL
 
 from conftest import (
     SHIPPED_ACYCLIC,
@@ -71,6 +75,41 @@ def test_boundary_currents_sum_to_zero():
         z_b = rng.uniform(-1.5, 1.5, len(net.partition.boundary))
         res = kr.solve_interior(net, z_b)
         assert abs(res.j_b.sum()) <= 1e-10
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_solution_fills_node_order_slots(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    perm = [int(i) for i in rng.permutation(net.graph.n)]
+    n_b = int(rng.integers(1, net.graph.n + 1))
+    net = replace(net, partition=kr.NodePartition(tuple(perm[:n_b]), tuple(perm[n_b:])))
+    boundary, central = perm[:n_b], perm[n_b:]
+    z_b = rng.uniform(-1.0, 1.0, n_b)
+    res = kr.solve_interior(net, z_b)
+    np.testing.assert_array_equal(res.z_full[boundary], z_b)
+    np.testing.assert_array_equal(res.z_full[central], res.z_c)
+    j = kr.nodal_currents(net, res.z_full)
+    assert np.abs(j[central]).max(initial=0.0) <= DEFAULT_TOL
+    np.testing.assert_array_equal(j[boundary], res.j_b)
+
+
+def test_boundary_assignment_outside_validity_names_edge():
+    g = kr.DirectedGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    laws = [kr.edge_law("y", interval=(-1.0, 1.0))] * 2
+    net = kr.build_network(g, laws, ("a", "b", "c"))
+    with pytest.raises(SolveError, match="boundary assignment leaves") as info:
+        kr.solve_interior(net, np.array([0.0, 0.5, 2.0]))
+    assert info.value.edge == "1 (b->c)"
+
+
+def test_initial_iterate_outside_validity_names_edge():
+    g = kr.DirectedGraph(("a", "c", "b"), (("a", "c"), ("c", "b")))
+    laws = [kr.edge_law("y", interval=(-1.0, 1.0))] * 2
+    net = kr.build_network(g, laws, ("a", "b"))
+    with pytest.raises(SolveError, match="initial iterate outside") as info:
+        kr.solve_interior(net, np.array([0.5, -1.5]), init=[0.0])
+    assert info.value.edge == "1 (c->b)"
 
 
 def test_solver_is_deterministic(diode_opposite):
