@@ -26,7 +26,7 @@ from .errors import (
 from .graph import is_connected
 from .netfile import assemble, dump_reduced, load_document, load_network, parse_document
 from .potential import (
-    _edge_values,
+    _inside_intervals,
     dissipated_power,
     k_value,
     power_balance_check,
@@ -84,19 +84,6 @@ class CheckItem:
     name: str
     passed: bool
     measured: str
-
-
-def _inside_intervals(net, z: np.ndarray) -> np.ndarray:
-    """``z`` itself when every edge value lies in its validity interval.
-
-    Otherwise ``z`` scaled toward 0 until every edge value lies within half
-    its interval; the half leaves room for rounding in the scaled values.
-    """
-    index = net._law_index
-    y = _edge_values(net, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.maximum(y / index.hi, y / index.lo).max(initial=0.0)
-    return z / (2.0 * reach) if reach > 1.0 else z
 
 
 def _structure_items(net, rng) -> list[CheckItem]:

@@ -8,11 +8,19 @@ None of these products uses the dense n x m incidence matrix D, which
 ``Network.incidence`` builds for callers on first read.  Each network
 caches its edge list: D^T z is a gather z[head] - z[tail], and D g is a
 scatter-add of g at the heads minus the tails, both over nodal vectors in
-node-list order.  D diag(w) D^T is one scatter-add of the four entries
-+w, +w, -w, -w per edge into n x n in partition order (boundary nodes
-first, then central), so its boundary and central blocks are plain
-slices; nodal vectors never take that order.  That is O(m + n^2) work
-instead of the O(n^2 m) of a dense product.
+node-list order.  ``weighted_laplacian`` scatter-adds the four entries
++w, +w, -w, -w per edge into a dense n x n array in node-list order; it is
+the only dense n x n Laplacian, and no solve uses it.
+
+The solver eliminates the central block H_CC through ``_packed_laplacian``,
+which scatters the same entries, in the partition order (boundary nodes
+first, then central), into one packed buffer: the upper band of H_CC in
+LAPACK band storage, then the n_B boundary rows.  The bandwidth kd is the
+largest partition-position distance over central-central edges, so it
+comes from the file's node order (32 on a 32 x 32 grid read row by row),
+and entries below the band's diagonal or in central rows outside H_CC are
+sent to one discarded slot.  That is O(m + n_c kd + n_B n) memory, and a
+banded Cholesky of H_CC costs O(n_c kd^2) instead of O(n_c^3).
 """
 
 from __future__ import annotations
@@ -63,20 +71,24 @@ _LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 @dataclass(frozen=True)
 class _EdgeList:
-    """Edges as index arrays, and the Laplacian's partition-ordered scatter.
+    """Edges as index arrays, and the packed scatter of the Laplacian.
 
     ``tail``/``head`` are the node indices of each edge's ends.  ``order[p]``
     is the node at partition position p (boundary, then central), so
     ``order[:n_B]`` and ``order[n_B:]`` index the boundary and central
-    entries of a nodal vector; row j of ``entries`` holds the flat positions
-    in the n x n partition-ordered Laplacian of edge j's four entries, in
-    the order of ``_LAPLACIAN_SIGNS``.
+    entries of a nodal vector.  ``kd`` is the bandwidth of H_CC in that
+    order.  Row j of ``slots`` holds, in the order of ``_LAPLACIAN_SIGNS``,
+    the positions of edge j's four entries in the buffer of
+    ``_packed_laplacian``: the upper band of H_CC in LAPACK storage
+    ((kd + 1) n_c, Fortran order), then the boundary rows (n_B n, partition
+    order), then one slot for the entries neither keeps.
     """
 
     order: np.ndarray
     tail: np.ndarray
     head: np.ndarray
-    entries: np.ndarray
+    kd: int
+    slots: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +119,23 @@ class Network:
 
     @cached_property
     def _edge_list(self) -> _EdgeList:
-        n = self.graph.n
+        n, n_b = self.graph.n, len(self.partition.boundary)
         order = np.array(self.partition.boundary + self.partition.central, dtype=np.intp)
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n)
         ends = np.array(self.graph.edge_indices(), dtype=np.intp).reshape(-1, 2)
         t, h = position[ends].T
-        entries = np.stack([t * n + t, h * n + h, t * n + h, h * n + t], 1)
+        inner = (t >= n_b) & (h >= n_b)
+        kd = int(np.abs(t - h)[inner].max(initial=0))
+        band = (kd + 1) * (n - n_b)
+        discard = band + n_b * n
+        # row i and column k of each entry, in partition positions; boundary
+        # rows keep every entry, H_CC its upper triangle, the rest is discarded
+        i, k = np.stack([t, h, t, h], 1), np.stack([t, h, h, t], 1)
+        slots = np.where(i < n_b, band + i * n + k,
+                         np.where((k >= n_b) & (i <= k), kd + (i - n_b) + (k - n_b) * kd, discard))
         tail, head = ends.T
-        return _EdgeList(order, tail, head, entries)
+        return _EdgeList(order, tail, head, kd, slots)
 
 
 def build_network(graph: DirectedGraph, laws, boundary_ids) -> Network:
@@ -155,6 +175,19 @@ def _edge_values(net: Network, z: np.ndarray) -> np.ndarray:
     return z[edges.head] - z[edges.tail]
 
 
+def _inside_intervals(net: Network, z: np.ndarray) -> np.ndarray:
+    """``z`` itself when every edge value lies in its validity interval.
+
+    Otherwise ``z`` scaled toward 0 until every edge value lies within half
+    its interval; the half leaves room for rounding in the scaled values.
+    """
+    index = net._law_index
+    y = _edge_values(net, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.maximum(y / index.hi, y / index.lo).max(initial=0.0)
+    return z / (2.0 * reach) if reach > 1.0 else z
+
+
 def _nodal_sums(net: Network, g: np.ndarray) -> np.ndarray:
     """D g in node-list order: per node, g summed over in-edges minus out-edges."""
     edges = net._edge_list
@@ -162,12 +195,19 @@ def _nodal_sums(net: Network, g: np.ndarray) -> np.ndarray:
     return np.bincount(edges.head, g, n) - np.bincount(edges.tail, g, n)
 
 
-def _laplacian(net: Network, w: np.ndarray) -> np.ndarray:
-    """D diag(w) D^T in partition order, scattered from the edge list."""
+def _packed_laplacian(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D diag(w) D^T as the upper band of H_CC and the boundary rows, from one scatter.
+
+    Returns the band, (kd + 1) x n_c in LAPACK upper band storage (Fortran
+    order, H_CC[i, k] at [kd + i - k, k]), and the n_B x n boundary rows
+    [H_BB | H_BC] in partition order; both are views of one buffer.
+    """
     edges = net._edge_list
-    n = len(edges.order)
-    lap = np.bincount(edges.entries.ravel(), (w[:, None] * _LAPLACIAN_SIGNS).ravel(), n * n)
-    return lap.reshape(n, n)
+    n, n_b = net.graph.n, len(net.partition.boundary)
+    band = (edges.kd + 1) * (n - n_b)
+    buffer = np.bincount(edges.slots.ravel(), (w[:, None] * _LAPLACIAN_SIGNS).ravel(),
+                         band + n_b * n + 1)
+    return buffer[:band].reshape(n - n_b, edges.kd + 1).T, buffer[band:-1].reshape(n_b, n)
 
 
 def edge_voltages(net: Network, z: np.ndarray) -> np.ndarray:
@@ -212,12 +252,14 @@ def nodal_currents(net: Network, z: np.ndarray) -> np.ndarray:
 
 
 def weighted_laplacian(net: Network, z: np.ndarray) -> np.ndarray:
-    """Hessian of K: D diag(g'(D^T z)) D^T, a weighted Laplacian."""
-    y = edge_voltages(net, z)
-    order = net._edge_list.order
-    lap = np.empty((len(order), len(order)))
-    lap[np.ix_(order, order)] = _laplacian(net, _gp_vec(net, y))
-    return lap
+    """Hessian of K: D diag(g'(D^T z)) D^T, a weighted Laplacian in node-list order."""
+    w = _gp_vec(net, edge_voltages(net, z))
+    edges = net._edge_list
+    n = net.graph.n
+    t, h = edges.tail, edges.head
+    entries = np.stack([t * n + t, h * n + h, t * n + h, h * n + t], 1)
+    return np.bincount(entries.ravel(), (w[:, None] * _LAPLACIAN_SIGNS).ravel(),
+                       n * n).reshape(n, n)
 
 
 def dissipated_power(net: Network, z: np.ndarray) -> float:

@@ -12,10 +12,15 @@ of the network weighted by w) and the sensitivity dz_C/dz_B =
 -H_CC^{-1} H_CB; ``_schur`` forms both from one solve against H_CC.
 
 H_CC is symmetric positive definite for strictly increasing laws, so a
-Newton step and ``_schur`` eliminate it through one Cholesky factor
-(``_factor_central``) in scipy's LAPACK: numpy links a separate OpenBLAS
-build, and switching between the two on a large block costs more than the
-factorization.  ``scipy.optimize`` is imported only by ``min_heat_check``.
+Newton step and ``_schur`` eliminate it through one banded Cholesky factor
+(``_factor_central``, LAPACK ``dpbtrf``/``dpbtrs`` in scipy).  H_CC is never
+formed: one scatter of the edge list fills its upper band, with the
+bandwidth kd that the file's node order gives, and the boundary rows
+[H_BB | H_BC] (``potential._packed_laplacian``).  An elimination costs
+O(m + n_c kd^2) time and O(m + n_c kd + n_B n) memory, not O(m + n^2) and
+O(n_c^3); on a grid read row by row kd is the row length.  No dense n x n
+array is made on this path.  ``scipy.optimize`` is imported only by
+``min_heat_check``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import HomogeneityError, IntervalError, SolveError
 from .potential import (
@@ -33,12 +38,14 @@ from .potential import (
     _first_violation,
     _g_vec,
     _gp_vec,
-    _laplacian,
+    _inside_intervals,
     _nodal_sums,
+    _packed_laplacian,
     dissipated_power,
     edge_label,
     edge_voltages,
     k_value,
+    weighted_laplacian,
 )
 
 DEFAULT_TOL = 1e-10
@@ -59,22 +66,23 @@ class SolveResult:
     z_full: np.ndarray  # all node potentials in node-list order, z_B and z_C in their slots
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor U (a = U^T U) of a symmetric positive definite matrix.
+def cho_factor(ab: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor of a symmetric positive definite band matrix.
 
-    Calls LAPACK directly and factors in place, so ``a`` may be overwritten.  Raises
-    LinAlgError when ``a`` is not positive definite or the factor is not
-    finite (potrf lets NaN through).
+    ``ab`` is the upper band in LAPACK storage, (kd + 1) x n in Fortran
+    order; the factor U (a = U^T U) comes back in the same storage, in
+    place.  Raises LinAlgError when the matrix is not positive definite or
+    the factor's diagonal is not finite (pbtrf lets NaN through).
     """
-    u, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)  # a.T: a's storage, Fortran order
-    if info > 0 or not np.isfinite(u.diagonal()).all():
+    u, info = dpbtrf(ab, lower=0, overwrite_ab=1)
+    if info != 0 or not np.isfinite(u[-1]).all():
         raise LinAlgError("matrix is not positive definite")
     return u
 
 
 def cho_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b from the factor U returned by cho_factor."""
-    x, _ = dpotrs(u, b, lower=0)
+    """Solve a x = b from the banded factor U returned by cho_factor."""
+    x, _ = dpbtrs(u, b, lower=0)
     return x
 
 
@@ -86,15 +94,15 @@ def _require_finite(net: Network, w: np.ndarray) -> None:
 
 
 def _factor_central(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partition-ordered Laplacian of the edge weights w, and the Cholesky factor of H_CC.
+    """Boundary rows [H_BB | H_BC] of the edge weights w, and the banded Cholesky factor of H_CC.
 
-    Raises SolveError when H_CC is not positive definite; only then are the
-    weights looked at, to name an edge whose weight is not finite.
+    Both come from one scatter (``_packed_laplacian``).  Raises SolveError
+    when H_CC is not positive definite; only then are the weights looked
+    at, to name an edge whose weight is not finite.
     """
-    n_b = len(net.partition.boundary)
-    lap = _laplacian(net, w)
+    band, rows = _packed_laplacian(net, w)
     try:
-        return lap, cho_factor(lap[n_b:, n_b:])
+        return rows, cho_factor(band)
     except LinAlgError as exc:
         _require_finite(net, w)
         raise SolveError("interior Hessian factorization failed") from exc
@@ -193,18 +201,19 @@ def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced Laplacian and sensitivity of the network weighted by edge weights w.
 
     Returns (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB) in partition order
-    from the Cholesky factor of H_CC (``_factor_central``, as a Newton step
-    does).  Raises SolveError when a weight is not finite, even one that
-    enters only H_BB, or when H_CC is not positive definite.
+    from the banded Cholesky factor of H_CC (``_factor_central``, as a
+    Newton step does) and the boundary rows, with H_CB = H_BC^T.  Raises
+    SolveError when a weight is not finite, even one that enters only H_BB,
+    or when H_CC is not positive definite.
     """
     _require_finite(net, w)
     n_b = len(net.partition.boundary)
     if n_b == net.graph.n:
-        return _laplacian(net, w), np.zeros((0, n_b))
-    lap, factor = _factor_central(net, w)
-    h_cb = lap[n_b:, :n_b]
-    x = cho_solve(factor, h_cb)
-    return lap[:n_b, :n_b] - h_cb.T @ x, -x
+        return _packed_laplacian(net, w)[1], np.zeros((0, n_b))
+    rows, factor = _factor_central(net, w)
+    h_bc = rows[:, n_b:]
+    x = cho_solve(factor, h_bc.T)
+    return rows[:, :n_b] - h_bc @ x, -x
 
 
 def _schur_at(net: Network, result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +223,11 @@ def _schur_at(net: Network, result: SolveResult) -> tuple[np.ndarray, np.ndarray
 
 def interior_hessian_check(net: Network, z) -> float:
     """Smallest eigenvalue of the interior Hessian block at z."""
-    n_b = len(net.partition.boundary)
-    if n_b == net.graph.n:
+    central = list(net.partition.central)
+    if not central:
         return float("inf")
-    w = _gp_vec(net, edge_voltages(net, z))
-    return float(np.linalg.eigvalsh(_laplacian(net, w)[n_b:, n_b:]).min())
+    h_cc = weighted_laplacian(net, z)[np.ix_(central, central)]
+    return float(np.linalg.eigvalsh(h_cc).min())
 
 
 def sensitivity(net: Network, z_b) -> np.ndarray:
@@ -251,10 +260,12 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
     Only meaningful when K is homogeneous of degree k; that is verified
     first on HOMOGENEITY_PROBES seeded random points with t in {0.5, 2},
     and the check refuses (HomogeneityError) on the first violation beyond
-    HOMOGENEITY_RTOL.  A non-finite k raises ValueError (with k = NaN no
-    comparison could fail).  The power minimizer is found independently by
-    derivative-free search.  Only this check needs ``scipy.optimize``, so
-    it is imported here.
+    HOMOGENEITY_RTOL.  Each point is drawn as its t = 2 image, which is
+    scaled into the validity box when it leaves it (``_inside_intervals``),
+    so both probes stay inside.  A non-finite k raises ValueError (with
+    k = NaN no comparison could fail).  The power minimizer is found
+    independently by derivative-free search.  Only this check needs
+    ``scipy.optimize``, so it is imported here.
     """
     if not np.isfinite(k):
         raise ValueError(f"homogeneity degree must be finite, got {k!r}")
@@ -263,7 +274,7 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
     z_b = np.asarray(z_b, dtype=float)
     rng = np.random.default_rng(0)
     for _ in range(HOMOGENEITY_PROBES):
-        z = rng.uniform(-1.5, 1.5, net.graph.n)
+        z = _inside_intervals(net, 2.0 * rng.uniform(-1.5, 1.5, net.graph.n)) / 2.0
         kz = k_value(net, z)
         for t in (0.5, 2.0):
             lhs = k_value(net, t * z)

@@ -106,6 +106,20 @@ def random_network(rng, n_min=2, n_max=7, boundary_min=1, law_pool=LAW_POOL, **k
     return kr.build_network(graph, laws, boundary)
 
 
+def grid_network(k: int, law: str) -> kr.Network:
+    """k x k grid with one shared law, nodes row by row, the four corners as boundary."""
+    names = tuple(str(i) for i in range(k * k))
+    edges = []
+    for i in range(k * k):
+        if i % k + 1 < k:
+            edges.append((names[i], names[i + 1]))
+        if i + k < k * k:
+            edges.append((names[i], names[i + k]))
+    corners = (names[0], names[k - 1], names[k * (k - 1)], names[k * k - 1])
+    shared = kr.edge_law(law)
+    return kr.build_network(kr.DirectedGraph(names, tuple(edges)), [shared] * len(edges), corners)
+
+
 def simpson_integral(f, a: float, b: float, panels: int = 4096) -> float:
     """Composite Simpson quadrature, independent of the library's routines."""
     x = np.linspace(a, b, 2 * panels + 1)

@@ -401,6 +401,19 @@ def test_power_min_heat_refuses_diode(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_power_min_heat_on_reduced_linear_series(tmp_path, capsys):
+    # the reduced tables live on [-4.16, 4.16]; a homogeneity probe at t = 2
+    # once left that interval and the verb exited 2
+    out = tmp_path / "lin.json"
+    assert main(["reduce", str(NETWORKS_DIR / "linear_series.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["power", str(out), "1=0", "2=0.1", "--min-heat"])
+    captured = capsys.readouterr()
+    assert "outside validity interval" not in captured.err
+    assert code == 0
+    assert "homogeneity degree = 2" in captured.out
+
+
 def test_memristor_labels_only(tmp_path, capsys):
     resistor = dict(DIODE, domain="resistor")
     memristor = dict(DIODE, domain="memristor")

@@ -14,8 +14,8 @@ from kronred.potential import (
     _edge_values,
     _g_vec,
     _gp_vec,
-    _laplacian,
     _nodal_sums,
+    _packed_laplacian,
     edge_label,
     edge_voltages,
 )
@@ -100,8 +100,19 @@ def _assert_edge_list_matches_incidence(net, rng):
     assert net._edge_list.order.tolist() == order
     d = net.incidence  # dense oracle, rows in node-list order
     w = rng.uniform(0.1, 3.0, net.graph.m)
-    dense = (d[order] * w) @ d[order].T  # only the Laplacian is partition-ordered
-    assert np.abs(_laplacian(net, w) - dense).max() <= 1e-14 * np.abs(dense).max()
+    dense = (d[order] * w) @ d[order].T  # only the packed scatter is partition-ordered
+    n_b, kd = len(net.partition.boundary), net._edge_list.kd
+    cc = dense[n_b:, n_b:]
+    i, k = np.triu_indices(len(cc))
+    stored = k - i <= kd
+    assert not cc[i[~stored], k[~stored]].any()  # the band holds every entry of H_CC
+    assert kd == max((k - i)[cc[i, k] != 0], default=0)  # and is no wider
+    want = np.zeros((kd + 1, len(cc)))
+    want[kd + i[stored] - k[stored], k[stored]] = cc[i[stored], k[stored]]
+    band, rows = _packed_laplacian(net, w)
+    tol = 1e-14 * np.abs(dense).max()
+    assert band.flags.f_contiguous and np.abs(band - want).max(initial=0.0) <= tol
+    assert np.abs(rows - dense[:n_b]).max() <= tol
     z = rng.uniform(-2.0, 2.0, net.graph.n)
     assert np.abs(_edge_values(net, z) - d.T @ z).max() <= 1e-14 * np.abs(z).max()
     g = rng.uniform(-2.0, 2.0, net.graph.m)

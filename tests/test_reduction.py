@@ -1,6 +1,7 @@
 """Reduction engine: Schur complements, support inference, law recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     diode_ring_net,
     diode_same_net,
     finite_difference_jacobian,
+    grid_network,
     linear_series_net,
     linear_star_net,
     random_connected_graph,
@@ -340,6 +342,23 @@ def test_reduced_hessian_is_dense_schur_complement(seed):
     assert np.abs(h - via_sensitivity).max() <= 1e-12 * scale
     dense = h_bb - h_bc @ np.linalg.inv(h_cc) @ h_bc.T if central else h_bb
     assert np.abs(h - dense).max() <= 1e-12 * scale
+
+
+def test_reduced_hessian_on_large_grid_stays_small():
+    # the central block is eliminated from its band (kd = 64 here), so no
+    # n x n array is made; a dense 4096 x 4096 Laplacian alone is 134 MB
+    net = grid_network(64, "y + 0.1*sinh(y)")
+    tracemalloc.start()
+    try:
+        h = kr.reduced_hessian(net, np.array([0.5, -0.25, 0.75, -1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    scale = np.abs(h).max()
+    assert np.abs(h - h.T).max() <= 1e-12 * scale
+    assert np.abs(h.sum(axis=1)).max() <= 1e-12 * scale
+    assert (h[~np.eye(4, dtype=bool)] <= 0.0).all()
 
 
 def test_weight_locality_under_gauge_shift(diode_opposite):

@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import kronred as kr
 from kronred.errors import HomogeneityError, SolveError
-from kronred.solver import DEFAULT_TOL
+from kronred.potential import _gp_vec
+from kronred.solver import DEFAULT_TOL, _factor_central, _schur, cho_solve
 
 from conftest import (
+    LAW_POOL,
     SHIPPED_ACYCLIC,
     diode_opposite_net,
     diode_same_net,
@@ -92,6 +94,92 @@ def test_solution_fills_node_order_slots(seed):
     j = kr.nodal_currents(net, res.z_full)
     assert np.abs(j[central]).max(initial=0.0) <= DEFAULT_TOL
     np.testing.assert_array_equal(j[boundary], res.j_b)
+
+
+def _clustered_network(rng, n_c, parts):
+    """Random network whose n_c central nodes form ``parts`` components.
+
+    Each component is a random tree plus extra edges, joined to the
+    boundary by one or two edges; the boundary nodes form a random tree.
+    Node numbering is shuffled, so the central block's band is up to
+    n_c - 1 wide and holds zeros between components.
+    """
+    n_b = int(rng.integers(2 if n_c == 0 else 1, 4))
+    boundary = [f"b{i}" for i in range(n_b)]
+    central = [f"c{i}" for i in range(n_c)]
+    edges = [(boundary[int(rng.integers(0, i))], boundary[i]) for i in range(1, n_b)]
+    for part in np.array_split(np.arange(n_c), min(parts, n_c)) if n_c else []:
+        nodes = [central[i] for i in part]
+        edges += [(nodes[int(rng.integers(0, i))], nodes[i]) for i in range(1, len(nodes))]
+        for _ in range(int(rng.integers(0, len(nodes)))):
+            a, b = rng.choice(len(nodes), size=2)
+            if a != b:
+                edges.append((nodes[a], nodes[b]))
+        for _ in range(int(rng.integers(1, 3))):
+            edges.append((nodes[int(rng.integers(0, len(nodes)))],
+                          boundary[int(rng.integers(0, n_b))]))
+    edges = [pair[::-1] if rng.random() < 0.5 else pair for pair in edges]
+    names = boundary + central
+    names = tuple(names[i] for i in rng.permutation(len(names)))
+    laws = [kr.edge_law(LAW_POOL[int(rng.integers(0, len(LAW_POOL)))]) for _ in edges]
+    return kr.build_network(kr.DirectedGraph(names, tuple(edges)), laws,
+                            [boundary[i] for i in rng.permutation(n_b)])
+
+
+def _dense_blocks(net, w):
+    """H_BB, H_CB and H_CC of D diag(w) D^T in partition order, from the dense incidence."""
+    order = list(net.partition.boundary + net.partition.central)
+    d = net.incidence[order]
+    lap = (d * w) @ d.T
+    n_b = len(net.partition.boundary)
+    return lap[:n_b, :n_b], lap[n_b:, :n_b], lap[n_b:, n_b:]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(1, 3))
+@example(seed=0, n_c=0, parts=1)
+@example(seed=1, n_c=1, parts=1)
+@example(seed=2, n_c=7, parts=3)
+def test_banded_elimination_matches_dense_oracle(seed, n_c, parts):
+    rng = np.random.default_rng(seed)
+    net = _clustered_network(rng, n_c, parts)
+    assert len(net.partition.central) == n_c
+    # _schur at random weights
+    w = rng.uniform(0.1, 3.0, net.graph.m)
+    h_bb, h_cb, h_cc = _dense_blocks(net, w)
+    x = -np.linalg.solve(h_cc, h_cb) if n_c else np.zeros((0, len(h_bb)))
+    reduced, sens = _schur(net, w)
+    scale = max(np.abs(h_bb).max(), np.abs(h_cc).max(initial=0.0))
+    assert np.abs(reduced - (h_bb + h_cb.T @ x)).max() <= 1e-12 * scale
+    assert sens.shape == x.shape
+    assert np.abs(sens - x).max(initial=0.0) <= 1e-12  # entries in [0, 1], rows sum to 1
+    # a Newton step: one solve of H_CC against a central residual
+    if n_c:
+        r = rng.uniform(-1.0, 1.0, n_c)
+        step = cho_solve(_factor_central(net, w)[1], r)
+        want = np.linalg.solve(h_cc, r)
+        assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max()
+    # the sensitivity at a solved point, from the laws' slopes there
+    z_b = rng.uniform(-1.0, 1.0, len(net.partition.boundary))
+    z = kr.solve_interior(net, z_b).z_full
+    _, h_cb, h_cc = _dense_blocks(net, _gp_vec(net, net.incidence.T @ z))
+    want = -np.linalg.solve(h_cc, h_cb) if n_c else np.zeros((0, len(z_b)))
+    assert np.abs(kr.sensitivity(net, z_b) - want).max(initial=0.0) <= 1e-12
+
+
+def test_band_with_gaps_matches_dense_oracle():
+    # central order c0, c1, c2 with only c0 - c2 joined: kd = n_c - 1 = 2,
+    # and the band entries (c0, c1) and (c1, c2) are zero
+    g = kr.DirectedGraph(("b0", "c0", "c1", "c2", "b1"),
+                         (("b0", "c0"), ("c0", "c2"), ("c2", "b1"), ("b0", "c1"), ("c1", "b1")))
+    net = kr.build_network(g, [kr.edge_law("y")] * 5, ("b0", "b1"))
+    assert net._edge_list.kd == 2
+    w = np.array([1.0, 2.0, 3.0, 0.5, 0.25])
+    h_bb, h_cb, h_cc = _dense_blocks(net, w)
+    assert h_cc[0, 1] == h_cc[1, 2] == 0.0
+    x = -np.linalg.solve(h_cc, h_cb)
+    reduced, sens = _schur(net, w)
+    np.testing.assert_allclose(sens, x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(reduced, h_bb + h_cb.T @ x, rtol=0.0, atol=1e-14)
 
 
 def test_boundary_assignment_outside_validity_names_edge():
