@@ -136,7 +136,7 @@ def graph_from_laplacian(
     graph = DirectedGraph(tuple(node_ids), tuple(edges))
     w = np.asarray(weights, dtype=float)
     d = build_incidence(graph)
-    recon = d @ np.diag(w) @ d.T if graph.m else np.zeros((n, n))
+    recon = (d * w) @ d.T
     if n and np.abs(recon - L).max() > tol:
         raise GraphStructureError("reconstruction D W D^T does not match the input Laplacian")
     return graph, w

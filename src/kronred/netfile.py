@@ -107,7 +107,9 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
     domain = data.get("domain", "resistor")
     if domain not in DOMAINS:
         raise NetworkFileError(f"unknown domain {domain!r}", f"{location}.domain")
-    reduced = bool(data.get("reduced", False))
+    reduced = data.get("reduced", False)
+    if not isinstance(reduced, bool):
+        raise NetworkFileError("reduced must be true or false", f"{location}.reduced")
     nodes = _require(data, "nodes", list, location)
     if not nodes or not all(isinstance(x, str) for x in nodes):
         raise NetworkFileError("nodes must be a nonempty list of names", f"{location}.nodes")

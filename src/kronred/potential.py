@@ -10,7 +10,8 @@ caches its edge list: D^T z is a gather z[head] - z[tail], and D g is a
 scatter-add of g at the heads minus the tails, both over nodal vectors in
 node-list order.  ``weighted_laplacian`` scatter-adds the four entries
 +w, +w, -w, -w per edge into a dense n x n array in node-list order; it is
-the only dense n x n Laplacian, and no solve uses it.
+the only dense n x n Laplacian, exported for library callers; no solve and
+no CLI verb uses it.
 
 The solver eliminates the central block H_CC through ``_packed_laplacian``,
 which scatters the same entries, in the partition order (boundary nodes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 NETWORKS_DIR = Path(__file__).resolve().parent.parent / "networks"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 # strictly monotone on the default interval, all vanish at 0
 LAW_POOL = (
@@ -27,6 +29,14 @@ LAW_POOL = (
     "exp(y) - 1 + 0.5*y",
     "y + sqrt(1 + y^2) - 1",
 )
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark harness, run from its file (the harness is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def diode_opposite_net() -> kr.Network:

@@ -2,19 +2,24 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kronred as kr
 import kronred.cli
 import kronred.netfile
 from kronred.cli import main
 from kronred.errors import NetworkFileError
+from kronred.exprlaw import EdgeLaw, differentiate, parse_law
 from kronred.netfile import dump_reduced, load_network, parse_document
+from kronred.potential import _inside_intervals
 from kronred.reduction import SamplingPlan
 
-from conftest import NETWORKS_DIR, diode_opposite_net
+from conftest import NETWORKS_DIR, diode_opposite_net, random_network
 
 
 def write(tmp_path, name, data):
@@ -59,9 +64,26 @@ def test_parse_document_rejects_unknown_boundary():
 
 def test_check_passes_on_diode(tmp_path, capsys):
     code = main(["check", write(tmp_path, "net.json", DIODE)])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "FAIL" not in out and "PASS" in out
+    # 2 laws, connectivity, then 5 trials of 3 items
+    assert len(lines) == 18 and all(line.startswith("PASS") for line in lines)
+    assert sum("min edge weight=" in line for line in lines) == 5
+
+
+def test_check_passes_a_network_of_tiny_slopes(tmp_path, capsys):
+    # every slope is 1e-15: still a connected graph's Laplacian, whatever its scale
+    tiny = dict(DIODE, edges=[dict(edge, law="1e-15*y") for edge in DIODE["edges"]])
+    assert main(["check", write(tmp_path, "net.json", tiny)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_reduced_flag_must_be_boolean(flag, tmp_path, capsys):
+    path = write(tmp_path, "net.json", dict(DIODE, reduced=flag))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "net.json.reduced" in err and "table" not in err
 
 
 def test_check_flags_convexity_failure(tmp_path, capsys):
@@ -109,7 +131,81 @@ def test_check_one_node_network(tmp_path, capsys):
     code = main(["check", write(tmp_path, "one.json", one)])
     out = capsys.readouterr().out
     assert code == 0 and "FAIL" not in out
-    assert out.count("offdiag_max=0.00e+00") == 5 and "eig_2" not in out
+    assert out.count("min edge weight=inf") == 5  # the minimum over no edges
+
+
+# laws whose slope is zero, negative or infinite everywhere: edge_law refuses
+# them, so they are built uncertified, as no network file can carry them
+BAD_SLOPES = ("0*y", "-0.5*y", "-2*y", "exp(1000)*y")
+
+
+def _uncertified(text):
+    g = parse_law(text)
+    return EdgeLaw(g, differentiate(g), "conductance", (-8.0, 8.0), 0.0, text)
+
+
+def _dense_structure_ok(net, z):
+    """The dense reference: asymmetry, row sums, sign pattern and spectrum of the Laplacian."""
+    lap = kr.weighted_laplacian(net, z)
+    n = net.graph.n
+    scale = 1.0 + np.abs(lap).max()
+    off = lap[~np.eye(n, dtype=bool)].max() if n > 1 else 0.0
+    eigs = np.linalg.eigvalsh(lap)
+    return bool(np.abs(lap - lap.T).max() <= 1e-10 * scale
+                and np.abs(lap.sum(axis=1)).max() <= 1e-10 * scale
+                and off <= 1e-12 * scale and eigs[0] >= -1e-9 * scale
+                and (n < 2 or eigs[1] > 1e-12))
+
+
+def _structure_trials(net, seed):
+    """``check``'s five structure verdicts on ``net`` and the points they were taken at."""
+    points = []
+
+    def recording(net, z):
+        points.append(_inside_intervals(net, z))
+        return points[-1]
+
+    # the co-content and power of an infinite-slope law are NaN
+    with mock.patch.object(kronred.cli, "_inside_intervals", recording), \
+            np.errstate(invalid="ignore", over="ignore"):
+        items = kronred.cli._structure_items(net, np.random.default_rng(seed))
+    trials = items[::3]
+    assert [item.name for item in trials] == [f"laplacian structure (trial {k})" for k in range(5)]
+    return trials, points
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 1.0]))
+def test_structure_trial_never_passes_where_dense_reference_fails(seed, bad_share):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    laws = [_uncertified(BAD_SLOPES[int(rng.integers(len(BAD_SLOPES)))])
+            if rng.random() < bad_share else law for law in net.laws]
+    net = kr.Network(net.graph, tuple(laws), net.partition)
+    trials, points = _structure_trials(net, seed)
+    for item, z in zip(trials, points):
+        slopes = [float(law.gp_at(z[net.graph.index(h)] - z[net.graph.index(t)]))
+                  for law, (t, h) in zip(net.laws, net.graph.edges)]
+        assert item.passed == all(0.0 < w < math.inf for w in slopes)
+        assert not item.passed or _dense_structure_ok(net, z)
+
+
+TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
+
+
+@pytest.mark.parametrize("edges, bad, reference_passes", [
+    (TRIANGLE, "0*y", True),  # the cycle keeps the graph connected: the spectrum hides it
+    (TRIANGLE[:2], "0*y", False),
+    (TRIANGLE, "-0.5*y", False),
+], ids=["zero-on-cycle", "zero-on-path", "negative-on-cycle"])
+def test_structure_trial_fails_a_nonpositive_slope(edges, bad, reference_passes):
+    graph = kr.DirectedGraph(("a", "b", "c"), edges)
+    laws = [_uncertified(bad)] + [kr.edge_law("exp(y) - 1")] * (len(edges) - 1)
+    net = kr.build_network(graph, laws, ("a",))
+    trials, points = _structure_trials(net, 0)
+    slope = float(laws[0].gp_at(0.0))
+    assert all(not item.passed and item.measured == f"min edge weight={slope:.2e}"
+               for item in trials)
+    assert all(_dense_structure_ok(net, z) == reference_passes for z in points)
 
 
 def test_check_rejects_malformed_file(tmp_path, capsys):

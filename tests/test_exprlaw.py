@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 import kronred as kr
 from kronred.errors import ConvexityError, ExprSyntaxError, IntervalError
@@ -209,7 +210,12 @@ def test_cocontent_matches_quad_on_shipped_laws(key):
 def test_cocontent_matches_quad_on_random_laws(e, y):
     # uncertified on purpose: the integral does not need a monotone law
     law = EdgeLaw(e, differentiate(e), "conductance", (-1.5, 1.5), 0.0)
-    oracle, abserr = _quad_cocontent(e, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            oracle, abserr = _quad_cocontent(e, y)
+        except IntegrationWarning:
+            return  # quad itself is not sure of the value (as on a subnormal y)
     if not (np.isfinite(oracle) and abserr <= 1e-12 * (1.0 + abs(oracle))):
         return  # quad itself is not sure of the value
     assert abs(cocontent(law, y) - oracle) <= 1e-10 * (1.0 + abs(oracle))
@@ -244,6 +250,14 @@ def test_convexity_violation_constant_derivative():
     with pytest.raises(ConvexityError) as info:
         edge_law("-2*y")
     assert info.value.value == -2.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_convexity_certificate_catches_narrow_dip():
+    # g'(0.00097) = 1 - 1.1 = -0.1, in a dip about 0.002 wide that the
+    # sampled certificate steps over (it reports a margin of 0.517)
+    with pytest.raises(ConvexityError):
+        edge_law("y - 0.0011*tanh(1000*(y - 0.00097))")
 
 
 def test_scan_convexity_locates_first_violation():

@@ -1,5 +1,7 @@
 """Incidence algebra, connectivity, acyclicity, Laplacian reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -119,6 +121,25 @@ def test_laplacian_asymmetric_rejected():
     L = np.array([[1.0, -1.0], [-0.5, 0.5]])
     with pytest.raises(GraphStructureError):
         graph_from_laplacian(L, ("a", "b"))
+
+
+def test_laplacian_without_edges():
+    g, w = graph_from_laplacian(np.zeros((2, 2)), ("a", "b"))
+    assert g.edges == () and w.shape == (0,)
+
+
+def test_laplacian_of_complete_graph_stays_small():
+    # 4950 edges; a dense m x m diag(w) in the reconstruction check alone is 196 MB
+    n = 100
+    L = n * np.eye(n) - np.ones((n, n))
+    tracemalloc.start()
+    try:
+        g, w = graph_from_laplacian(L, tuple(str(i) for i in range(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+    assert g.m == n * (n - 1) // 2 and (w == 1.0).all()
 
 
 @given(st.integers(0, 10_000))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kronred.cli import main
+from kronred.cli import EXIT_BROKEN_PIPE, main
 
 from conftest import NETWORKS_DIR
 
@@ -31,10 +31,14 @@ sys.exit(code)
 """
 
 
-def _run(args, **kw):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+    return env
+
+
+def _run(args, **kw):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env(),
                           timeout=120, **kw)
 
 
@@ -83,3 +87,21 @@ def test_min_heat_still_runs():
 def test_script_runs(script, tmp_path):
     done = _run([str(script)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_check_into_a_closed_pipe_ends_quietly(tmp_path):
+    # a 3000-node path: check prints about 150 kB, more than a pipe buffer
+    # holds, and the reader stops after one line, as `| head -1` does
+    n = 3000
+    doc = {"nodes": [str(i) for i in range(n)], "boundary": ["0"],
+           "edges": [{"from": str(i), "to": str(i + 1), "law": "y"} for i in range(n - 1)]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, "-m", "kronred.cli", "check", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    assert proc.stdout.readline().startswith(b"PASS  convexity margin 0->1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert err == b""

@@ -1,7 +1,9 @@
 """Reduction engine: Schur complements, support inference, law recovery."""
 
 import math
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import kronred as kr
 from kronred import reduction, solver
+from kronred.cli import main
 from kronred.errors import AssumptionError, NonQuadraticLawError
 from kronred.graph import build_incidence
 from kronred.netfile import load_network
@@ -25,6 +28,7 @@ from conftest import (
     finite_difference_jacobian,
     grid_network,
     linear_series_net,
+    load_perfbench,
     linear_star_net,
     random_connected_graph,
     random_network,
@@ -32,6 +36,11 @@ from conftest import (
 )
 
 PLAN = SamplingPlan(count=400, seed=3)
+
+# the benchmark's op lists and solve-count pin; its workloads module imports
+# its sibling as ``tracer``
+with mock.patch.dict(sys.modules, {"tracer": load_perfbench("tracer")}):
+    workloads = load_perfbench("workloads")
 
 
 def test_reduced_hessian_diode_at_origin(diode_opposite):
@@ -443,10 +452,9 @@ def test_cyclic_recovery_ring_never_raises(count):
             assert (np.diff(table.y) > 0).all() and (np.diff(table.current) > 0).all()
 
 
-@pytest.mark.parametrize("make, extra", [(diode_opposite_net, 50), (diode_ring_net, 74)])
-def test_reduce_solve_count(monkeypatch, make, extra):
-    # S to infer the support, S to recover, 50 held out, and on a cycle 24
-    # for the integrability diagnostic; the benchmark's traced run pins these
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """One entry per interior solve the reduction layer makes, as the benchmark counts them."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -454,8 +462,31 @@ def test_reduce_solve_count(monkeypatch, make, extra):
         return solve_interior(*args, **kwargs)
 
     monkeypatch.setattr(reduction, "solve_interior", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make, extra", [(diode_opposite_net, 50), (diode_ring_net, 74)])
+def test_reduce_solve_count(solve_calls, make, extra):
+    # S to infer the support, S to recover, 50 held out, and on a cycle 24
+    # for the integrability diagnostic; the benchmark pins the same counts
     kr.reduce_network(make(), SamplingPlan(count=16, seed=0))
-    assert len(calls) == 2 * 16 + extra
+    name = make.__name__.removesuffix("_net")
+    pinned = workloads.expected_solves({"kind": f"{name}@16", "net": name, "samples": 16})
+    assert len(solve_calls) == 2 * 16 + extra == pinned
+
+
+@pytest.mark.parametrize("workload, kind", [
+    ("cli-verbs", "reduce-out"), ("cli-verbs", "reduce-ring"), ("grid-32", "reduced_hessian"),
+])
+def test_benchmark_op_solve_count(solve_calls, monkeypatch, tmp_path, workload, kind):
+    # the benchmark's first op of the kind, run in-process from the repository root
+    monkeypatch.chdir(NETWORKS_DIR.parent)
+    op = next(op for op in workloads.make_ops(workload, 0, 1, str(tmp_path)) if op["kind"] == kind)
+    if kind == "reduced_hessian":
+        kr.reduced_hessian(load_network(tmp_path / "grid32.json").network, np.asarray(op["z_b"]))
+    else:
+        assert main(op["argv"]) in (0, 4)
+    assert len(solve_calls) == workloads.expected_solves(op)
 
 
 @pytest.mark.parametrize("make", [diode_opposite_net, diode_ring_net])

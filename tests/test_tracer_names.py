@@ -5,17 +5,14 @@ kronred would silently drop them from the traced counts.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import kronred.reduction
 
-_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracer)
+from conftest import load_perfbench
+
+tracer = load_perfbench("tracer")
 
 NAMES = sorted({*tracer.STAGES, *tracer.INFO, *tracer.NETFILE_DUMP,
                 "solver.cho_factor", "solver.cho_solve"})
