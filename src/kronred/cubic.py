@@ -1,4 +1,4 @@
-"""Piecewise-cubic Hermite interpolation on numpy and scipy.linalg alone.
+"""Piecewise-cubic Hermite interpolation on numpy and LAPACK ``dgtsv`` alone.
 
 ``HermiteCubic`` is the cubic through (x[i], y[i]) with prescribed slopes at
 the knots.  It evaluates the interpolant, its exact derivative and its exact
@@ -13,12 +13,17 @@ derivatives and antiderivatives of tables of four or more points came out bit
 for bit as scipy's on random tables, so recovered tables keep their bytes.
 Three-point tables solve their parabola's system with the banded solver,
 where scipy uses a dense LU solve; they agree with scipy to rounding.
+``dgtsv`` comes from scipy's compiled ``_flapack`` module (``kronred._lapack``),
+called as scipy's ``solve_banded((1, 1), ...)`` calls it, so ``scipy.linalg``
+is never imported.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+
+from ._lapack import dgtsv
 
 
 class HermiteCubic:
@@ -69,18 +74,16 @@ class HermiteCubic:
                  + self._c2[i] / 3.0 * s3) + self._c3[i] / 4.0 * (s3 * s))
 
 
-def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes of the C2 cubic spline with not-a-knot ends.
+def _not_a_knot_system(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope system of the not-a-knot spline through three or more points.
 
-    Two points give the line and three the parabola through them, as in
-    scipy's ``CubicSpline``; more points solve its tridiagonal system.  The
-    parabola's system is tridiagonal too, and differs only in its end rows.
+    Returns the (1, 1) bands in ``solve_banded`` layout and the right side.
+    Three points give the parabola's system, which differs only in its end
+    rows.
     """
     dx = np.diff(x)
     secant = np.diff(y) / dx
     n = len(x)
-    if n == 2:
-        return np.array([secant[0], secant[0]])
     bands = np.zeros((3, n))  # rows: upper, main and lower diagonal
     b = np.empty(n)
     bands[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
@@ -100,8 +103,24 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         bands[1, -1] = dx[-2]
         bands[2, -2] = d
         b[-1] = (dx[-1] ** 2 * secant[-2] + (2.0 * d + dx[-1]) * dx[-2] * secant[-1]) / d
-    return solve_banded((1, 1), bands, b, overwrite_ab=True, overwrite_b=True,
-                        check_finite=False)
+    return bands, b
+
+
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the C2 cubic spline with not-a-knot ends.
+
+    Two points give the line and three the parabola through them, as in
+    scipy's ``CubicSpline``; more points solve its tridiagonal system.
+    """
+    if len(x) == 2:
+        secant = np.diff(y) / np.diff(x)
+        return np.array([secant[0], secant[0]])
+    bands, b = _not_a_knot_system(x, y)
+    # the call scipy's solve_banded((1, 1), bands, b) makes
+    *_, slopes, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], b, 1, 1, 1, 1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return slopes
 
 
 def spline(x, y) -> HermiteCubic:

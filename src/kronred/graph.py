@@ -19,6 +19,7 @@ class DirectedGraph:
     node_ids: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    _roots: int | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if len(set(self.node_ids)) != len(self.node_ids):
@@ -86,13 +87,20 @@ def _spanning_forest(g: DirectedGraph) -> tuple[list, int]:
     return parent_edge, roots
 
 
+def _component_count(g: DirectedGraph) -> int:
+    """Connected components of the undirected support; one forest walk per graph."""
+    if g._roots is None:
+        object.__setattr__(g, "_roots", _spanning_forest(g)[1])
+    return g._roots
+
+
 def is_connected(g: DirectedGraph) -> bool:
-    return g.n == 0 or _spanning_forest(g)[1] == 1
+    return g.n == 0 or _component_count(g) == 1
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
     """True iff the undirected support is a forest (ker D = 0): every edge is a tree edge."""
-    return g.m == g.n - _spanning_forest(g)[1]
+    return g.m == g.n - _component_count(g)
 
 
 def _support(lap: np.ndarray) -> frozenset:

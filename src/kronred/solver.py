@@ -13,14 +13,15 @@ of the network weighted by w) and the sensitivity dz_C/dz_B =
 
 H_CC is symmetric positive definite for strictly increasing laws, so a
 Newton step and ``_schur`` eliminate it through one banded Cholesky factor
-(``_factor_central``, LAPACK ``dpbtrf``/``dpbtrs`` in scipy).  H_CC is never
+(``_factor_central``, LAPACK ``dpbtrf``/``dpbtrs`` from scipy's compiled
+``_flapack`` module, loaded by ``kronred._lapack``).  H_CC is never
 formed: one scatter of the edge list fills its upper band, with the
 bandwidth kd that the file's node order gives, and the boundary rows
 [H_BB | H_BC] (``potential._packed_laplacian``).  An elimination costs
 O(m + n_c kd^2) time and O(m + n_c kd + n_B n) memory, not O(m + n^2) and
 O(n_c^3); on a grid read row by row kd is the row length.  No dense n x n
-array is made on this path.  ``scipy.optimize`` is imported only by
-``min_heat_check``.
+array is made on this path.  ``scipy.optimize``, and with it
+``scipy.linalg``, is imported only by ``min_heat_check``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from numpy.linalg import LinAlgError
 
+from ._lapack import dpbtrf, dpbtrs
 from .errors import HomogeneityError, IntervalError, SolveError
 from .potential import (
     Network,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import kronred as kr
 import kronred.cli
+import kronred.graph
 import kronred.netfile
 from kronred.cli import main
 from kronred.errors import NetworkFileError
@@ -113,17 +114,28 @@ def test_syntax_error_wins_over_earlier_refused_law(tmp_path, capsys):
         assert err.startswith("error: ") and "edges[1]" in err and "edges[0]" not in err
 
 
+DISCONNECTED = {
+    "nodes": ["0", "1", "2", "3"],
+    "boundary": ["1", "2"],
+    "edges": [{"from": "1", "to": "0", "law": "y"},
+              {"from": "2", "to": "0", "law": "y"}],
+}
+
+
 def test_check_flags_disconnected_graph(tmp_path, capsys):
-    bad = {
-        "nodes": ["0", "1", "2", "3"],
-        "boundary": ["1", "2"],
-        "edges": [{"from": "1", "to": "0", "law": "y"},
-                  {"from": "2", "to": "0", "law": "y"}],
-    }
-    code = main(["check", write(tmp_path, "net.json", bad)])
+    code = main(["check", write(tmp_path, "net.json", DISCONNECTED)])
     out = capsys.readouterr().out
     assert code == 1
     assert "disconnected" in out
+
+
+@pytest.mark.parametrize("doc, code", [(DIODE, 0), (DISCONNECTED, 1)])
+def test_check_walks_the_spanning_forest_once(doc, code, tmp_path, capsys):
+    forest = mock.patch.object(kronred.graph, "_spanning_forest",
+                               wraps=kronred.graph._spanning_forest)
+    with forest as walk:
+        assert main(["check", write(tmp_path, "net.json", doc)]) == code
+    assert walk.call_count == 1
 
 
 def test_check_one_node_network(tmp_path, capsys):

@@ -14,8 +14,10 @@ from conftest import NETWORKS_DIR
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-# scipy subpackages that only `power --min-heat` may load
-HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse")
+# scipy subpackages that only `power --min-heat` may load; the other verbs
+# take their LAPACK routines from scipy's compiled _flapack module alone
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
+         "scipy.special", "scipy.sparse")
 
 CHILD = f"""
 import json, sys
@@ -70,6 +72,11 @@ VERBS = {
 
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_verb_loads_scipy_linalg_only(verb, reduced_file):
+    """No verb but `power --min-heat` loads a HEAVY subpackage, `scipy.linalg` included.
+
+    The name is kept from when `scipy.linalg` was the one subpackage allowed,
+    so that the test ids stay stable.
+    """
     argv, codes = VERBS[verb]
     argv = [reduced_file if arg == "REDUCED" else arg for arg in argv]
     done = _run(["-c", CHILD, *argv])
@@ -79,6 +86,20 @@ def test_verb_loads_scipy_linalg_only(verb, reduced_file):
 
 def test_min_heat_still_runs():
     done = _run(["-m", "kronred.cli", "power", _net("linear_series"), "1=1", "2=0", "--min-heat"])
+    assert done.returncode == 0, done.stderr
+    assert "max |difference|" in done.stdout
+
+
+def test_min_heat_after_another_verb_in_one_process():
+    # solve loads LAPACK by file path; min-heat then imports scipy.linalg the normal way
+    child = f"""
+import sys
+from kronred.cli import main
+assert main(["solve", {_net("diode_opposite")!r}, "1=1", "2=0"]) == 0
+assert "scipy.linalg" not in sys.modules
+assert main(["power", {_net("linear_series")!r}, "1=1", "2=0", "--min-heat"]) == 0
+"""
+    done = _run(["-c", child])
     assert done.returncode == 0, done.stderr
     assert "max |difference|" in done.stdout
 
