@@ -460,11 +460,14 @@ def edge_law(
     """Build a certified EdgeLaw from law text.
 
     ``kind="conductance"`` treats the text as g itself; ``kind="cocontent"``
-    differentiates once to get g.  The validity interval must straddle 0 so
-    the quadrature anchor G(0) = 0 is inside it.  g' is certified positive
-    by ``scan_convexity``; a violation raises ConvexityError.
+    differentiates once to get g.  The validity interval must be finite, with
+    a finite width, and straddle 0 so the quadrature anchor G(0) = 0 is
+    inside it.  g' is certified positive by ``scan_convexity``; a violation
+    raises ConvexityError.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    if not np.isfinite(hi - lo):  # also when lo or hi is not finite
+        raise ValueError(f"validity interval must be finite, with a finite width, got [{lo}, {hi}]")
     if not lo < 0.0 < hi:
         raise ValueError(f"validity interval must straddle 0, got [{lo}, {hi}]")
     parsed = parse_law(text)

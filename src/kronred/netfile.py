@@ -74,10 +74,15 @@ def _require(data: dict, key: str, kind, location: str):
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``true`` and ``false`` are not, although bool subclasses int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _table_column(table: dict, key: str, location: str) -> np.ndarray:
     """One table column as floats; it must be a list of finite numbers."""
     values = table[key]
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise NetworkFileError(f"table {key!r} must be a list of numbers", location)
     column = np.asarray(values, dtype=float)
     if not np.isfinite(column).all():
@@ -163,9 +168,11 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
                 raise NetworkFileError(f"unknown law kind {kind!r}", loc)
             interval = entry.get("interval", list(DEFAULT_INTERVAL))
             if (not isinstance(interval, list) or len(interval) != 2
-                    or not all(isinstance(v, (int, float)) for v in interval)):
+                    or not all(_is_number(v) for v in interval)):
                 raise NetworkFileError("interval must be a [lo, hi] pair", loc)
             lo, hi = float(interval[0]), float(interval[1])
+            if not np.isfinite(hi - lo):  # also when lo or hi is not finite
+                raise NetworkFileError("interval must be finite, with a finite width", loc)
             if not lo < 0.0 < hi:
                 raise NetworkFileError("interval must straddle 0", loc)
             key = (law_text, kind, (lo, hi))

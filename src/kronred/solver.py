@@ -20,8 +20,7 @@ bandwidth kd that the file's node order gives, and the boundary rows
 [H_BB | H_BC] (``potential._packed_laplacian``).  An elimination costs
 O(m + n_c kd^2) time and O(m + n_c kd + n_B n) memory, not O(m + n^2) and
 O(n_c^3); on a grid read row by row kd is the row length.  No dense n x n
-array is made on this path.  ``scipy.optimize``, and with it
-``scipy.linalg``, is imported only by ``min_heat_check``.
+array is made on this path.
 """
 
 from __future__ import annotations
@@ -55,6 +54,8 @@ ARMIJO_C = 1e-4
 MIN_STEP = 2.0**-60
 HOMOGENEITY_PROBES = 20  # random points of the homogeneity test in min_heat_check
 HOMOGENEITY_RTOL = 1e-8
+MIN_HEAT_STEP = 1e-12  # min_heat_check's search stops once its step is below this
+MIN_HEAT_MAX_EVALS = 50_000  # ... or after this many evaluations of the power
 
 
 @dataclass(frozen=True)
@@ -264,14 +265,15 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
     HOMOGENEITY_RTOL.  Each point is drawn as its t = 2 image, which is
     scaled into the validity box when it leaves it (``_inside_intervals``),
     so both probes stay inside.  A non-finite k raises ValueError (with
-    k = NaN no comparison could fail).  The power minimizer is found
-    independently by derivative-free search.  Only this check needs
-    ``scipy.optimize``, so it is imported here.
+    k = NaN no comparison could fail).  The power minimizer comes from a
+    derivative-free search on values of P alone (+inf outside the validity
+    box), independent of the solve: from mean(z_B), sweeps of steps along
+    each coordinate to the vertex of the parabola through P(x - h e_i), P(x)
+    and P(x + h e_i); h = max(ptp(z_B), 1e-6) halves after a sweep that moves
+    x no farther than h, until h < MIN_HEAT_STEP or MIN_HEAT_MAX_EVALS values.
     """
     if not np.isfinite(k):
         raise ValueError(f"homogeneity degree must be finite, got {k!r}")
-    from scipy.optimize import minimize, minimize_scalar
-
     z_b = np.asarray(z_b, dtype=float)
     rng = np.random.default_rng(0)
     for _ in range(HOMOGENEITY_PROBES):
@@ -285,8 +287,6 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
 
     result = solve_interior(net, z_b)
     central = list(net.partition.central)
-    if not central:
-        return MinHeatReport(k, np.empty(0), np.empty(0), 0.0)
 
     def power_of(z_c_vec: np.ndarray) -> float:
         z = result.z_full.copy()
@@ -296,18 +296,18 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
         except IntervalError:
             return float("inf")
 
-    x0 = np.full(len(central), float(np.mean(z_b)))
-    if len(central) == 1:
-        lo = float(min(z_b.min(), x0[0]) - 1e-6)
-        hi = float(max(z_b.max(), x0[0]) + 1e-6)
-        scalar = minimize_scalar(lambda v: power_of(np.array([v])), bounds=(lo, hi),
-                                 method="bounded", options={"xatol": 1e-12})
-        z_c_min = np.array([scalar.x])
-    else:
-        opt = minimize(power_of, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-15,
-                                "maxiter": 50000, "maxfev": 50000})
-        z_c_min = np.asarray(opt.x, dtype=float)
-
-    diff = float(np.abs(result.z_c - z_c_min).max())
-    return MinHeatReport(k, result.z_c, z_c_min, diff)
+    x, index = np.full(len(central), float(np.mean(z_b))), np.arange(len(central))
+    p_x, evals, h = power_of(x), 1, max(float(np.ptp(z_b)), 1e-6)
+    while h >= MIN_HEAT_STEP and evals < MIN_HEAT_MAX_EVALS:
+        start = x
+        for i in index:
+            p_lo, p_hi = (power_of(np.where(index == i, x[i] + d, x)) for d in (-h, h))
+            curvature, evals = p_lo - 2.0 * p_x + p_hi, evals + 2
+            if np.isfinite(curvature) and curvature > 0.0:
+                trial = np.where(index == i, x[i] + 0.5 * h * (p_lo - p_hi) / curvature, x)
+                p_trial, evals = power_of(trial), evals + 1
+                if p_trial < p_x:
+                    x, p_x = trial, p_trial
+        if np.abs(x - start).max(initial=0.0) <= h:
+            h *= 0.5
+    return MinHeatReport(k, result.z_c, x, float(np.abs(result.z_c - x).max(initial=0.0)))

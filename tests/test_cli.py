@@ -87,6 +87,27 @@ def test_reduced_flag_must_be_boolean(flag, tmp_path, capsys):
     assert err.startswith("error: ") and "net.json.reduced" in err and "table" not in err
 
 
+@pytest.mark.parametrize("interval", [[-math.inf, math.inf], [-math.inf, 8.0], [-1e308, 1e308]],
+                         ids=["both_infinite", "lo_infinite", "width_overflows"])
+@pytest.mark.parametrize("law", ["y", "y + tanh(y)"])
+def test_interval_must_be_finite(interval, law, tmp_path, capsys):
+    # json writes and reads the literals Infinity and -Infinity; a certificate
+    # on such an interval would scan a NaN grid, with numpy warnings on stderr
+    doc = dict(DIODE, edges=[dict(DIODE["edges"][0], law=law, interval=interval),
+                             DIODE["edges"][1]])
+    assert main(["check", write(tmp_path, "net.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges[0]" in err and "interval" in err
+    assert "Warning" not in err
+
+
+def test_interval_must_not_hold_a_boolean(tmp_path, capsys):
+    doc = dict(DIODE, edges=[dict(DIODE["edges"][0], interval=[-1, True]), DIODE["edges"][1]])
+    assert main(["check", write(tmp_path, "net.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges[0]" in err and "interval" in err
+
+
 def test_check_flags_convexity_failure(tmp_path, capsys):
     bad = dict(DIODE, edges=[
         {"from": "1", "to": "0", "law": "tanh(y) - y"},
@@ -566,6 +587,15 @@ def test_bad_table_entry_is_usage_error(column, value, verb, tmp_path, capsys):
     assert main([verb[0], path, *verb[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edges[0]" in err and repr(column) in err
+
+
+def test_table_must_not_hold_booleans(tmp_path, capsys):
+    # bool subclasses int, so [false, true] once loaded as the table [0, 1]
+    doc = {"reduced": True, "nodes": ["a", "b"], "boundary": ["a", "b"],
+           "edges": [{"from": "a", "to": "b", "table": {"y": [False, True], "current": [False, True]}}]}
+    assert main(["check", write(tmp_path, "reduced.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges[0]" in err and "'y'" in err
 
 
 def test_table_with_nan_margin_is_not_certified():

@@ -277,6 +277,13 @@ def test_interval_must_straddle_zero():
         edge_law("y", interval=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("interval", [(-math.inf, math.inf), (-math.inf, 8.0), (-1e308, 1e308),
+                                      (-1.0, math.nan)])
+def test_interval_must_be_finite(interval):
+    with pytest.raises(ValueError, match="finite"):
+        edge_law("y", interval=interval)
+
+
 def test_law_evaluation_vectorized():
     law = edge_law("exp(y) - 1")
     ys = np.array([-1.0, 0.0, 1.0])

@@ -5,9 +5,11 @@ Each order of import runs in a fresh interpreter: kronred first, where
 comes after it, and scipy first, where kronred takes the loaded module.
 """
 
+import ast
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +75,25 @@ def test_direct_lapack_matches_scipy_linalg(order):
 def test_missing_extension_names_the_searched_path(tmp_path):
     with pytest.raises(ImportError, match=re.escape(f"no _flapack extension in {tmp_path}")):
         _lapack._find(tmp_path)
+
+
+def test_no_library_module_imports_scipy():
+    """No module of the package imports scipy; ``_lapack`` only finds its directory.
+
+    Read statically, so the rule holds for every code path, not only for the
+    verbs the process tests run.
+    """
+    sources = sorted(Path(_lapack.__file__).parent.glob("*.py"))
+    assert "solver.py" in [path.name for path in sources]
+    imported = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not `from . import`
+                names = [node.module]
+            else:
+                continue
+            imported += [f"{path.name}: {name}" for name in names
+                         if name == "scipy" or name.startswith("scipy.")]
+    assert imported == []

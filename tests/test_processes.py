@@ -14,8 +14,8 @@ from conftest import NETWORKS_DIR
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-# scipy subpackages that only `power --min-heat` may load; the other verbs
-# take their LAPACK routines from scipy's compiled _flapack module alone
+# scipy subpackages that no verb may load: every verb takes its LAPACK
+# routines from scipy's compiled _flapack module alone
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
          "scipy.special", "scipy.sparse")
 
@@ -67,12 +67,13 @@ VERBS = {
                        "--points", "5"], (0,)),
     "solve-reduced": (["solve", "REDUCED", "1=0.5", "2=0"], (0,)),
     "power": (["power", _net("linear_series"), "0=0.5", "1=1", "2=0"], (0,)),
+    "power-min-heat": (["power", _net("linear_series"), "1=1", "2=0", "--min-heat"], (0,)),
 }
 
 
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_verb_loads_scipy_linalg_only(verb, reduced_file):
-    """No verb but `power --min-heat` loads a HEAVY subpackage, `scipy.linalg` included.
+    """No verb, `power --min-heat` included, loads a HEAVY subpackage such as `scipy.linalg`.
 
     The name is kept from when `scipy.linalg` was the one subpackage allowed,
     so that the test ids stay stable.
@@ -91,13 +92,14 @@ def test_min_heat_still_runs():
 
 
 def test_min_heat_after_another_verb_in_one_process():
-    # solve loads LAPACK by file path; min-heat then imports scipy.linalg the normal way
+    # solve loads LAPACK by file path, and min-heat's search reads power values only
     child = f"""
 import sys
 from kronred.cli import main
 assert main(["solve", {_net("diode_opposite")!r}, "1=1", "2=0"]) == 0
 assert "scipy.linalg" not in sys.modules
 assert main(["power", {_net("linear_series")!r}, "1=1", "2=0", "--min-heat"]) == 0
+assert "scipy.linalg" not in sys.modules and "scipy.optimize" not in sys.modules
 """
     done = _run(["-c", child])
     assert done.returncode == 0, done.stderr

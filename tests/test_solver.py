@@ -11,15 +11,18 @@ from scipy.optimize import minimize_scalar
 
 import kronred as kr
 from kronred.errors import HomogeneityError, SolveError
+from kronred.netfile import load_network
 from kronred.potential import _gp_vec
 from kronred.solver import DEFAULT_TOL, _factor_central, _schur, cho_solve
 
 from conftest import (
     LAW_POOL,
+    NETWORKS_DIR,
     SHIPPED_ACYCLIC,
     diode_opposite_net,
     diode_same_net,
     finite_difference_jacobian,
+    grid_network,
     linear_series_net,
     linear_star_net,
     random_network,
@@ -335,6 +338,30 @@ def test_envelope_identity():
 def test_min_heat_quadratic_series(linear_series):
     report = kr.min_heat_check(linear_series, np.array([1.0, 0.0]), k=2.0)
     assert report.max_abs_difference <= 1e-8
+
+
+def _weighted_grid(k: int) -> kr.Network:
+    """conftest's k x k grid with corner terminals, linear laws of weights U(0.5, 2), seed 1."""
+    shape = grid_network(k, "y")
+    boundary = [shape.graph.node_ids[i] for i in shape.partition.boundary]
+    weights = np.random.default_rng(1).uniform(0.5, 2.0, shape.graph.m)
+    return kr.build_network(shape.graph, [kr.edge_law(f"{float(w)!r}*y") for w in weights], boundary)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("linear_series", 1e-8), ("linear_star", 1e-8), ("triangle_center", 1e-8),
+    ("grid3", 5e-7), ("grid4", 5e-7), ("grid5", 5e-7),
+])
+def test_min_heat_search_accuracy(name, bound):
+    # one derivative-free search for every number of central nodes (1 to 21 here)
+    if name.startswith("grid"):
+        net = _weighted_grid(int(name[4:]))
+    else:
+        net = load_network(NETWORKS_DIR / f"{name}.json").network
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        z_b = rng.uniform(-2.0, 2.0, len(net.partition.boundary))
+        assert kr.min_heat_check(net, z_b, k=2.0).max_abs_difference <= bound
 
 
 def test_min_heat_refuses_diode(diode_opposite):
