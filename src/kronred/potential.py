@@ -15,11 +15,11 @@ no CLI verb uses it.
 
 The solver eliminates the central block H_CC through ``_packed_laplacian``,
 which scatters the same entries, in the partition order (boundary nodes
-first, then central), into one packed buffer: the upper band of H_CC in
+first, then central), into one packed buffer: the lower band of H_CC in
 LAPACK band storage, then the n_B boundary rows.  The bandwidth kd is the
 largest partition-position distance over central-central edges, so it
 comes from the file's node order (32 on a 32 x 32 grid read row by row),
-and entries below the band's diagonal or in central rows outside H_CC are
+and entries above the band's diagonal or in central rows outside H_CC are
 sent to one discarded slot.  That is O(m + n_c kd + n_B n) memory, and a
 banded Cholesky of H_CC costs O(n_c kd^2) instead of O(n_c^3).
 """
@@ -80,7 +80,7 @@ class _EdgeList:
     entries of a nodal vector.  ``kd`` is the bandwidth of H_CC in that
     order.  Row j of ``slots`` holds, in the order of ``_LAPLACIAN_SIGNS``,
     the positions of edge j's four entries in the buffer of
-    ``_packed_laplacian``: the upper band of H_CC in LAPACK storage
+    ``_packed_laplacian``: the lower band of H_CC in LAPACK storage
     ((kd + 1) n_c, Fortran order), then the boundary rows (n_B n, partition
     order), then one slot for the entries neither keeps.
     """
@@ -131,10 +131,10 @@ class Network:
         band = (kd + 1) * (n - n_b)
         discard = band + n_b * n
         # row i and column k of each entry, in partition positions; boundary
-        # rows keep every entry, H_CC its upper triangle, the rest is discarded
+        # rows keep every entry, H_CC its lower triangle, the rest is discarded
         i, k = np.stack([t, h, t, h], 1), np.stack([t, h, h, t], 1)
         slots = np.where(i < n_b, band + i * n + k,
-                         np.where((k >= n_b) & (i <= k), kd + (i - n_b) + (k - n_b) * kd, discard))
+                         np.where((k >= n_b) & (i >= k), (i - n_b) + (k - n_b) * kd, discard))
         tail, head = ends.T
         return _EdgeList(order, tail, head, kd, slots)
 
@@ -197,10 +197,10 @@ def _nodal_sums(net: Network, g: np.ndarray) -> np.ndarray:
 
 
 def _packed_laplacian(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D diag(w) D^T as the upper band of H_CC and the boundary rows, from one scatter.
+    """D diag(w) D^T as the lower band of H_CC and the boundary rows, from one scatter.
 
-    Returns the band, (kd + 1) x n_c in LAPACK upper band storage (Fortran
-    order, H_CC[i, k] at [kd + i - k, k]), and the n_B x n boundary rows
+    Returns the band, (kd + 1) x n_c in LAPACK lower band storage (Fortran
+    order, H_CC[i, k] for i >= k at [i - k, k]), and the n_B x n boundary rows
     [H_BB | H_BC] in partition order; both are views of one buffer.
     """
     edges = net._edge_list

@@ -15,7 +15,7 @@ H_CC is symmetric positive definite for strictly increasing laws, so a
 Newton step and ``_schur`` eliminate it through one banded Cholesky factor
 (``_factor_central``, LAPACK ``dpbtrf``/``dpbtrs`` from scipy's compiled
 ``_flapack`` module, loaded by ``kronred._lapack``).  H_CC is never
-formed: one scatter of the edge list fills its upper band, with the
+formed: one scatter of the edge list fills its lower band, with the
 bandwidth kd that the file's node order gives, and the boundary rows
 [H_BB | H_BC] (``potential._packed_laplacian``).  An elimination costs
 O(m + n_c kd^2) time and O(m + n_c kd + n_B n) memory, not O(m + n^2) and
@@ -69,22 +69,24 @@ class SolveResult:
 
 
 def cho_factor(ab: np.ndarray) -> np.ndarray:
-    """Upper banded Cholesky factor of a symmetric positive definite band matrix.
+    """Lower banded Cholesky factor of a symmetric positive definite band matrix.
 
-    ``ab`` is the upper band in LAPACK storage, (kd + 1) x n in Fortran
-    order; the factor U (a = U^T U) comes back in the same storage, in
-    place.  Raises LinAlgError when the matrix is not positive definite or
-    the factor's diagonal is not finite (pbtrf lets NaN through).
+    ``ab`` is the lower band in LAPACK storage, (kd + 1) x n in Fortran
+    order, with the diagonal in row 0; the factor L (a = L L^T) comes back
+    in the same storage, in place.  Raises LinAlgError when the matrix is
+    not positive definite or the factor's diagonal is not finite (pbtrf
+    lets NaN through).
     """
-    u, info = dpbtrf(ab, lower=0, overwrite_ab=1)
-    if info != 0 or not np.isfinite(u[-1]).all():
+    # lower storage: the factorization updates along contiguous columns
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0 or not np.isfinite(factor[0]).all():
         raise LinAlgError("matrix is not positive definite")
-    return u
+    return factor
 
 
-def cho_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b from the banded factor U returned by cho_factor."""
-    x, _ = dpbtrs(u, b, lower=0)
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from the banded factor L returned by cho_factor."""
+    x, _ = dpbtrs(factor, b, lower=1)
     return x
 
 

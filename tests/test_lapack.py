@@ -33,21 +33,24 @@ assert kronred._lapack._flapack.__file__ == scipy.linalg._flapack.__file__
 assert lapack._flapack is scipy.linalg._flapack
 
 rng = np.random.default_rng(7)
-n, kd = 30, 2
-a = np.zeros((n, n))
-for k in range(1, kd + 1):
-    off = rng.uniform(-1.0, 1.0, n - k)
-    a += np.diag(off, k) + np.diag(off, -k)
-a += np.diag(rng.uniform(2.0 * kd, 3.0 * kd, n))
-ab = np.zeros((kd + 1, n), order="F")
-for k in range(kd + 1):
-    ab[kd - k, k:] = np.diag(a, k)
-b = rng.standard_normal(n)
-u_want, info = lapack.dpbtrf(ab.copy(order="F"), lower=0)
-assert info == 0
-u = cho_factor(ab.copy(order="F"))
-assert u.tobytes() == u_want.tobytes()
-assert cho_solve(u, b).tobytes() == lapack.dpbtrs(u_want, b, lower=0)[0].tobytes()
+n = 150
+for kd in (2, 32, 64):  # LAPACK's blocked code (block size 32) runs from kd = 32 on
+    a = np.zeros((n, n))
+    for k in range(1, kd + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        a += np.diag(off, k) + np.diag(off, -k)
+    a += np.diag(rng.uniform(2.0 * kd, 3.0 * kd, n))
+    ab = np.zeros((kd + 1, n), order="F")  # lower band storage: a[i, k] at [i - k, k]
+    for k in range(kd + 1):
+        ab[k, :n - k] = np.diag(a, -k)
+    b = rng.standard_normal(n)
+    l_want, info = lapack.dpbtrf(ab.copy(order="F"), lower=1)
+    assert info == 0, kd
+    factor = cho_factor(ab.copy(order="F"))
+    assert factor.tobytes() == l_want.tobytes(), kd
+    x = cho_solve(factor, b)
+    assert x.tobytes() == lapack.dpbtrs(l_want, b, lower=1)[0].tobytes(), kd
+    assert np.abs(a @ x - b).max() <= 1e-12 * np.abs(b).max(), kd
 
 for size in (3, 4, 50):
     x = np.cumsum(rng.uniform(0.1, 1.0, size))

@@ -108,7 +108,7 @@ def _assert_edge_list_matches_incidence(net, rng):
     assert not cc[i[~stored], k[~stored]].any()  # the band holds every entry of H_CC
     assert kd == max((k - i)[cc[i, k] != 0], default=0)  # and is no wider
     want = np.zeros((kd + 1, len(cc)))
-    want[kd + i[stored] - k[stored], k[stored]] = cc[i[stored], k[stored]]
+    want[k[stored] - i[stored], i[stored]] = cc[k[stored], i[stored]]  # lower band storage
     band, rows = _packed_laplacian(net, w)
     tol = 1e-14 * np.abs(dense).max()
     assert band.flags.f_contiguous and np.abs(band - want).max(initial=0.0) <= tol

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import kronred as kr
+from kronred._lapack import dpbtrf
 from kronred.errors import HomogeneityError, SolveError
 from kronred.netfile import load_network
 from kronred.potential import _gp_vec
-from kronred.solver import DEFAULT_TOL, _factor_central, _schur, cho_solve
+from kronred.solver import DEFAULT_TOL, _factor_central, _schur, cho_factor, cho_solve
 
 from conftest import (
     LAW_POOL,
@@ -417,6 +418,36 @@ def test_non_finite_interior_hessian_is_solve_error():
         with pytest.raises(SolveError, match="not finite") as info:
             derived(net, [0.0, 0.0, 0.0])
         assert info.value.edge.startswith("0 (1->0)")
+
+
+def test_non_finite_last_diagonal_fails_the_factorization():
+    # lower band storage puts the diagonal in row 0; the last row ends in
+    # padding, and pbtrf returns info 0 with a NaN on the last diagonal
+    ab = np.zeros((2, 4), order="F")
+    ab[0], ab[1, :3] = 4.0, -1.0
+    ab[0, -1] = np.nan
+    assert dpbtrf(ab.copy(order="F"), lower=1)[1] == 0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        cho_factor(ab)
+
+
+def test_non_finite_weight_on_a_banded_interior_is_solve_error():
+    # central chain c0 - c1 (kd = 1); the 0/0 slope of y + 0.5*sqrt(y^2) at
+    # the start z_C = mean(z_B) = 0 sits on edge z -> c1, so it reaches only
+    # the last diagonal entry of H_CC
+    g = kr.DirectedGraph(("a", "c0", "c1", "b", "z"),
+                         (("a", "c0"), ("c0", "c1"), ("c1", "b"), ("z", "c1")))
+    laws = [kr.edge_law("y")] * 3 + [kr.edge_law("y + 0.5*sqrt(y^2)", interval=(-8.0, 8.5))]
+    net = kr.build_network(g, laws, ("a", "b", "z"))
+    assert net._edge_list.kd == 1
+    with pytest.raises(SolveError, match="not finite") as info:
+        kr.solve_interior(net, [-1.0, 1.0, 0.0])
+    assert info.value.edge.startswith("3 (z->c1)")
+    assert info.value.result.iterations == 0
+    for derived in (kr.reduced_hessian, kr.sensitivity):
+        with pytest.raises(SolveError, match="not finite") as info:
+            derived(net, [0.0, 0.0, 0.0])
+        assert info.value.edge.startswith("3 (z->c1)")
 
 
 def test_indefinite_interior_hessian_is_solve_error():
