@@ -30,7 +30,7 @@ from .errors import ConvexityError, ExprSyntaxError, IntervalError
 
 DEFAULT_INTERVAL = (-8.0, 8.0)
 DEFAULT_CONVEXITY_SAMPLES = 4097
-COCONTENT_RTOL = 1e-13  # panel-estimate tolerance, relative to 1 + |G(y)|
+COCONTENT_RTOL = 1e-13  # panel-estimate tolerance, relative to |G(y)|
 COCONTENT_DEPTH = 30  # most bisections of a panel
 
 FUNCTIONS = {
@@ -488,7 +488,8 @@ def cocontent(law: EdgeLaw, y: float) -> float:
     """G(y) = integral of g from 0 to y, anchored so G(0) = 0.
 
     Raises IntervalError outside the law's validity interval.  The error is
-    well below 1e-10 (1 + |G(y)|); see ``_integrate``.
+    well below 1e-10 |G(y)|, or rounding noise in the integral of |g| where
+    G(y) cancels to near 0; see ``_integrate``.
     """
     if not law.contains(y):
         raise IntervalError(y, law.validity_interval)
@@ -517,7 +518,7 @@ def _integrate(g: Expr, y: np.ndarray) -> np.ndarray:
 
     Every panel of [0, y] is integrated at orders 10 and 20 from one ``evaluate``
     call over all panels of all entries.  A panel is accepted with its order-20
-    value once the two orders agree to COCONTENT_RTOL (1 + |first estimate|)
+    value once the two orders agree to COCONTENT_RTOL |first estimate of G(y)|
     times the panel's share of [0, y], or to rounding noise in the panel's sum,
     or when its values are not finite; the others are halved, at most
     COCONTENT_DEPTH times.  The order-10 gap overstates the order-20 error by
@@ -534,7 +535,7 @@ def _integrate(g: Expr, y: np.ndarray) -> np.ndarray:
         values = np.broadcast_to(evaluate(g, points), points.shape)
         low, high = (values @ _WEIGHTS.T * span[:, None]).T
         if scale is None:
-            scale = 1.0 + np.where(np.isfinite(high), np.abs(high), 0.0)
+            scale = np.where(np.isfinite(high), np.abs(high), 0.0)
         noise = _NOISE * (np.abs(values) @ _WEIGHTS[1]) * np.abs(span)
         gap = np.abs(high - low)
         done = ~(gap > np.maximum(COCONTENT_RTOL * scale[owner] * share, noise))

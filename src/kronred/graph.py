@@ -104,9 +104,12 @@ def is_acyclic(g: DirectedGraph) -> bool:
 
 
 def _support(lap: np.ndarray) -> frozenset:
-    """Index pairs i < k with |lap[i, k]| > 1e-10 + 1e-9 max|diag lap|: the edges lap shows."""
+    """Index pairs i < k with |lap[i, k]| > 1e-9 max|diag lap|: the edges lap shows.
+
+    The test is relative to the diagonal alone, so scaling lap keeps its support.
+    """
     n = len(lap)
-    tol = 1e-10 + 1e-9 * np.abs(np.diag(lap)).max(initial=0.0)
+    tol = 1e-9 * np.abs(np.diag(lap)).max(initial=0.0)
     return frozenset((i, k) for i in range(n) for k in range(i + 1, n) if abs(lap[i, k]) > tol)
 
 
@@ -119,7 +122,10 @@ def graph_from_laplacian(
     One edge per pair i < k in the ``_support`` of (L + L^T) / 2, weight
     -(L[i, k] + L[k, i]) / 2, oriented lowest-index-node = tail.  Validates
     symmetry, zero row sums, and nonpositive off-diagonals; checks the
-    reconstruction D W D^T reproduces L within 1e-8 * (1 + max|L|).
+    reconstruction D W D^T reproduces L within 1e-8 * (1 + max|L|).  These
+    checks keep an absolute floor because L is often a Schur complement
+    whose entries cancel to rounding noise of a matrix this function never
+    sees; the edges and weights come from ``_support``, which scales with L.
     """
     L = np.asarray(laplacian, dtype=float)
     n = L.shape[0]

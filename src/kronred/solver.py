@@ -48,7 +48,8 @@ from .potential import (
     weighted_laplacian,
 )
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # interior-current tolerance, times the largest edge current when below 1
+ROUNDING_TOL = 1024 * float(np.finfo(float).eps)  # its floor, per unit of that current
 DEFAULT_MAX_ITER = 100
 ARMIJO_C = 1e-4
 MIN_STEP = 2.0**-60
@@ -120,9 +121,14 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
     decreased sufficiently and all edge values stay inside their validity
     intervals.  Iteration starts from ``init`` (the mean boundary value when
     omitted) and stops once the largest interior current is at most
-    DEFAULT_TOL.  Raises SolveError after DEFAULT_MAX_ITER iterations
-    (suspected global solvability failure) or when steps cannot stay inside
-    the box.
+    max(DEFAULT_TOL min(1, s), ROUNDING_TOL s), where s is the largest edge
+    current |g_j(y_j)| at the iterate.  The test is relative to the
+    network's own current scale, so multiplying every law by a constant
+    leaves z_C the same.  It is never looser than DEFAULT_TOL in absolute
+    terms until rounding sets the floor, at currents above ~440
+    (ROUNDING_TOL = 1024 eps).  Raises SolveError after DEFAULT_MAX_ITER
+    iterations (suspected global solvability failure) or when steps cannot
+    stay inside the box.
     """
     z_b = np.asarray(z_b, dtype=float)
     order = net._edge_list.order
@@ -140,8 +146,10 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
             raise ValueError(f"expected {len(central)} central values, got {len(init)}")
         z[central] = init
 
-    def currents(yv):
-        return _nodal_sums(net, _g_vec(net, yv))
+    def currents(yv):  # nodal currents, and the stopping tolerance at their scale
+        g = _g_vec(net, yv)
+        s = float(np.abs(g).max(initial=0.0))
+        return _nodal_sums(net, g), max(DEFAULT_TOL * min(1.0, s), ROUNDING_TOL * s)
 
     y = _edge_values(net, z)
     bad = _first_violation(net, y)
@@ -153,10 +161,10 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
     def partial():
         return SolveResult(z[central], np.full(n_b, np.nan), iterations, res_norm, False, z)
 
-    j = currents(y)
+    j, tol = currents(y)
     res_norm = float(np.abs(j[central]).max(initial=0.0))
     iterations = 0
-    converged = res_norm <= DEFAULT_TOL
+    converged = res_norm <= tol
 
     while not converged and iterations < DEFAULT_MAX_ITER:
         try:
@@ -173,7 +181,7 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
             y_trial = _edge_values(net, trial)
             bad = _first_violation(net, y_trial)
             if bad < 0:
-                j_trial = currents(y_trial)
+                j_trial, tol_trial = currents(y_trial)
                 trial_norm = float(np.abs(j_trial[central]).max())
                 if trial_norm <= (1.0 - ARMIJO_C * t) * res_norm:
                     break
@@ -188,9 +196,9 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
                         edge=edge_label(net, last_bad),
                     )
                 raise SolveError("line search failed to reduce the residual", result=partial())
-        z, y, j, res_norm = trial, y_trial, j_trial, trial_norm
+        z, y, j, res_norm, tol = trial, y_trial, j_trial, trial_norm, tol_trial
         iterations += 1
-        converged = res_norm <= DEFAULT_TOL
+        converged = res_norm <= tol
 
     if not converged:
         raise SolveError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,18 @@ LAW_POOL = (
     "exp(y) - 1 + 0.5*y",
     "y + sqrt(1 + y^2) - 1",
 )
+
+
+# diode_opposite in SI units: Shockley diodes of saturation current I_s = 1 pA
+# and thermal voltage V_t = 25.85 mV, edge values in volts, currents in amps
+SI_SATURATION = 1e-12
+SI_THERMAL = 0.02585
+SI_DIODE_PAIR = {
+    "nodes": ["0", "1", "2"],
+    "boundary": ["1", "2"],
+    "edges": [{"from": tail, "to": "0", "law": f"{SI_SATURATION!r}*(exp(y/{SI_THERMAL!r}) - 1)",
+               "interval": [-0.75, 0.75]} for tail in ("1", "2")],
+}
 
 
 def load_perfbench(name: str):
@@ -154,6 +167,14 @@ def finite_difference_jacobian(f, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
         step[i] = h
         cols.append((np.asarray(f(z + step)) - np.asarray(f(z - step))) / (2.0 * h))
     return np.column_stack(cols)
+
+
+@pytest.fixture
+def si_diode_pair(tmp_path) -> str:
+    """Path of a network file holding SI_DIODE_PAIR."""
+    path = tmp_path / "diode_pair_si.json"
+    path.write_text(json.dumps(SI_DIODE_PAIR), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture

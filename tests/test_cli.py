@@ -17,7 +17,7 @@ from kronred.cli import main
 from kronred.errors import NetworkFileError
 from kronred.exprlaw import EdgeLaw, differentiate, parse_law
 from kronred.netfile import dump_reduced, load_network, parse_document
-from kronred.potential import _inside_intervals
+from kronred.potential import PowerBalance, _inside_intervals
 from kronred.reduction import SamplingPlan
 
 from conftest import NETWORKS_DIR, diode_opposite_net, random_network
@@ -77,6 +77,28 @@ def test_check_passes_a_network_of_tiny_slopes(tmp_path, capsys):
     tiny = dict(DIODE, edges=[dict(edge, law="1e-15*y") for edge in DIODE["edges"]])
     assert main(["check", write(tmp_path, "net.json", tiny)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("item", ["shift invariance", "power balance"])
+def test_check_bounds_scale_with_the_network(item, tmp_path, capsys, monkeypatch):
+    # a 10 % fault at picoamp currents must fail; a bound with an absolute
+    # part, such as 1e-10 (1 + |K|), would pass it
+    pico = dict(DIODE, edges=[dict(edge, law="1e-12*(exp(y) - 1)") for edge in DIODE["edges"]])
+    if item == "shift invariance":
+        k_value = kronred.cli.k_value
+        monkeypatch.setattr(kronred.cli, "k_value",
+                            lambda net, z: k_value(net, z) * (1.0 + 0.1 * float(np.mean(z))))
+    else:
+        balance = kronred.cli.power_balance_check
+
+        def faulty(net, z):
+            b = balance(net, z)
+            return PowerBalance(b.edge_power, 1.1 * b.edge_power, 0.1 * abs(b.edge_power))
+
+        monkeypatch.setattr(kronred.cli, "power_balance_check", faulty)
+    assert main(["check", write(tmp_path, "net.json", pico)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 5 and all(item in line for line in failed)
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])

@@ -309,6 +309,22 @@ def test_reduce_linear_rejects_nonquadratic(diode_opposite):
     assert info.value.edge == "2 (1->3)"
 
 
+@pytest.mark.parametrize("text, exact", [
+    *((text, True) for text in ("y", "2*y", "y*2", "y/3", "3*y - y", "0.5*(y+y)", "-(-y)",
+                                "2*(y+1)-2", "y+0*sinh(y)")),
+    ("1e-13*(y + tanh(y))", False),
+    ("y + 1e-16*y^3", False),
+])
+def test_linearity_is_read_off_the_law_tree(text, exact):
+    # each line's g'' folds to Num(0.0); a curve keeps a term, however small
+    # its values, and takes the sampled path
+    g = kr.DirectedGraph(("0", "1", "2"), (("1", "0"), ("0", "2")))
+    net = kr.build_network(g, [kr.edge_law(text)] * 2, ("1", "2"))
+    reduced = kr.reduce_network(net, SamplingPlan(count=16, seed=0))
+    assert reduced.certificate.exact_linear is exact
+    assert reduced.graph.edges == (("1", "2"),) and reduced.certificate.accepted
+
+
 def _reduced_laplacian(graph, w, boundary_ids):
     net = kr.build_network(graph, [kr.edge_law("y")] * graph.m, boundary_ids)
     return _schur(net, w)[0]
