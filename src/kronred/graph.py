@@ -125,7 +125,8 @@ def graph_from_laplacian(
     reconstruction D W D^T reproduces L within 1e-8 * (1 + max|L|).  These
     checks keep an absolute floor because L is often a Schur complement
     whose entries cancel to rounding noise of a matrix this function never
-    sees; the edges and weights come from ``_support``, which scales with L.
+    sees (``reduce_linear`` eliminates near unit scale for that reason); the
+    edges and weights come from ``_support``, which scales with L.
     """
     L = np.asarray(laplacian, dtype=float)
     n = L.shape[0]

@@ -578,9 +578,14 @@ def reduce_linear(net: Network) -> ReducedNetwork:
         consistency_residual=0.0, integrability_max_asymmetry=0.0,
         accepted=True, exact_linear=True,
     )
-    graph, reduced_weights = graph_from_laplacian(_schur(net, weights)[0], ids)
+    # eliminate near unit scale: the Schur complement's rounding then stays
+    # under graph_from_laplacian's absolute floor whatever the laws' current
+    # scale.  A power of 4 stays exact through the Cholesky factor's square
+    # roots, so the weights come out bit for bit as without the scaling.
+    scale = 4.0 ** (np.frexp(weights.max(initial=0.0))[1] // 2)
+    graph, reduced_weights = graph_from_laplacian(_schur(net, weights / scale)[0], ids)
     certificate.acyclic = is_acyclic(graph)
-    tables = tuple(_line_table(w) for w in reduced_weights)
+    tables = tuple(_line_table(scale * w) for w in reduced_weights)
     return ReducedNetwork(graph, tables, certificate)
 
 

@@ -272,10 +272,11 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
     Only meaningful when K is homogeneous of degree k; that is verified
     first on HOMOGENEITY_PROBES seeded random points with t in {0.5, 2},
     and the check refuses (HomogeneityError) on the first violation beyond
-    HOMOGENEITY_RTOL.  Each point is drawn as its t = 2 image, which is
-    scaled into the validity box when it leaves it (``_inside_intervals``),
-    so both probes stay inside.  A non-finite k raises ValueError (with
-    k = NaN no comparison could fail).  The power minimizer comes from a
+    HOMOGENEITY_RTOL |t^k K(z)|, a bound that scales with the laws.  Each
+    point is drawn as its t = 2 image, which is scaled into the validity box
+    when it leaves it (``_inside_intervals``), so both probes stay inside.
+    A non-finite k raises ValueError (with k = NaN no comparison could
+    fail).  The power minimizer comes from a
     derivative-free search on values of P alone (+inf outside the validity
     box), independent of the solve: from mean(z_B), sweeps of steps along
     each coordinate to the vertex of the parabola through P(x - h e_i), P(x)
@@ -292,7 +293,7 @@ def min_heat_check(net: Network, z_b, k: float) -> MinHeatReport:
         for t in (0.5, 2.0):
             lhs = k_value(net, t * z)
             rhs = t**k * kz
-            if abs(lhs - rhs) > HOMOGENEITY_RTOL * (1.0 + abs(rhs)):
+            if abs(lhs - rhs) > HOMOGENEITY_RTOL * abs(rhs):
                 raise HomogeneityError(z, t, lhs, rhs)
 
     result = solve_interior(net, z_b)

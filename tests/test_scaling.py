@@ -12,12 +12,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import kronred as kr
 from kronred.cli import main
-from kronred.errors import SolveError
+from kronred.errors import HomogeneityError, SolveError
 from kronred.reduction import boundary_ids
 
 from conftest import LAW_POOL, SI_SATURATION, SI_THERMAL, random_network
@@ -143,3 +144,24 @@ def test_si_diode_pair_reduces_to_its_closed_form(si_diode_pair, tmp_path):
     # two diodes in opposition pass I_s tanh(y / 2 V_t) along the reduced edge
     exact = SI_SATURATION * np.tanh(y / (2.0 * SI_THERMAL))
     assert np.abs(current - exact).max() <= 1e-6 * SI_SATURATION
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_min_heat_judges_homogeneity_at_any_scale(c):
+    g = kr.DirectedGraph(("0", "1", "2"), (("1", "0"), ("2", "0")))
+    z_b = np.array([1.0, 0.0])
+    diodes = kr.build_network(g, [kr.edge_law(f"{c!r}*(exp(y) - 1)")] * 2, ("1", "2"))
+    with pytest.raises(HomogeneityError):
+        kr.min_heat_check(diodes, z_b, k=2.0)
+    lines = kr.build_network(g, [kr.edge_law(f"{c!r}*y")] * 2, ("1", "2"))
+    assert kr.min_heat_check(lines, z_b, k=2.0).max_abs_difference <= 1e-8
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_linear_pair_reduces_onto_one_node_at_any_scale(c):
+    # eliminating node 0 leaves a 1 x 1 Laplacian of rounding noise at the
+    # laws' own scale, which must not read as a row sum that is not 0
+    g = kr.DirectedGraph(("0", "1"), (("0", "1"), ("0", "1")))
+    net = kr.build_network(g, [kr.edge_law(f"{c!r}*(0.5*y)")] * 2, ("1",))
+    reduced = kr.reduce_network(net)
+    assert reduced.graph.edges == () and reduced.certificate.exact_linear
