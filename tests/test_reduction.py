@@ -530,9 +530,16 @@ def test_reduce_factors_once_per_elimination(monkeypatch, make):
     for module in (solver, reduction):
         monkeypatch.setattr(module, "_schur", counting_schur)
         monkeypatch.setattr(module, "solve_interior", counting_solve)
-    kr.reduce_network(make(), SamplingPlan(count=16, seed=0))
+    net = make()
+    kr.reduce_network(net, SamplingPlan(count=16, seed=0))
     assert counts["schur"] > 0 and counts["iterations"] > 0
     assert counts["factor"] == counts["iterations"] + counts["schur"]
+    # the Newton start's linearized sensitivity is formed once per Network
+    first = dict(counts)
+    kr.reduce_network(net, SamplingPlan(count=16, seed=0))
+    second = {key: counts[key] - first[key] for key in counts}
+    assert second["schur"] == first["schur"] - 1
+    assert second["factor"] == second["iterations"] + second["schur"]
 
 
 def test_pooling_rejects_inconsistent_pairs():

@@ -64,6 +64,93 @@ def test_no_central_nodes_is_trivial():
     np.testing.assert_allclose(res.j_b, [1.0, -1.0])
 
 
+LINEAR_POOL = ("y", "2*y", "0.5*y", "1.5*y")
+
+
+def _dense_interior(net: kr.Network, z_b: np.ndarray) -> np.ndarray:
+    """z_C = -H_CC^{-1} H_CB z_B of a network of lines, from the dense incidence."""
+    _, h_cb, h_cc = _dense_blocks(net, _gp_vec(net, np.zeros(net.graph.m)))
+    return np.linalg.solve(h_cc, -h_cb @ z_b)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_linear_network_starts_at_its_solution(seed):
+    # the default start is the linearized network's Kron interior, which on
+    # a network of lines is the solution itself
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, law_pool=LINEAR_POOL)
+    z_b = rng.uniform(-1.5, 1.5, len(net.partition.boundary))
+    res = kr.solve_interior(net, z_b)
+    assert res.converged and res.iterations == 0
+    np.testing.assert_allclose(res.z_c, _dense_interior(net, z_b), rtol=0.0, atol=1e-12)
+
+
+def test_triangle_center_starts_at_its_solution(triangle_center):
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        z_b = rng.uniform(-1.5, 1.5, 3)
+        res = kr.solve_interior(triangle_center, z_b)
+        assert res.iterations == 0
+        np.testing.assert_allclose(res.z_c, _dense_interior(triangle_center, z_b),
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_b", [1, 3])
+def test_constant_boundary_returns_the_constant(n_b):
+    # the start applies S_0 to deviations from the mean, which vanish here:
+    # S_0 z_B itself would be z_B (1 +- eps), and its currents rounding noise
+    rng = np.random.default_rng(n_b)
+    for _ in range(20):
+        net = random_network(rng, n_min=n_b + 1, boundary_min=n_b)
+        net = replace(net, partition=kr.NodePartition(
+            net.partition.boundary[:n_b],
+            tuple(sorted(net.partition.central + net.partition.boundary[n_b:]))))
+        res = kr.solve_interior(net, np.full(n_b, -0.375))
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.z_c, -0.375)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_interior_solve_is_shift_invariant(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    z_b = rng.uniform(-1.5, 1.5, len(net.partition.boundary))
+    c = rng.uniform(-2.0, 2.0)
+    np.testing.assert_allclose(kr.solve_interior(net, z_b + c).z_c,
+                               kr.solve_interior(net, z_b).z_c + c, rtol=0.0, atol=1e-12)
+
+
+def test_start_outside_validity_falls_back_to_the_mean():
+    # the linearized chain predicts z_C = (1/3, -1/3), whose middle edge
+    # value -2/3 leaves [-0.25, 0.25]; the solve starts from the mean instead
+    g = kr.DirectedGraph(("a", "c1", "c2", "b"), (("a", "c1"), ("c1", "c2"), ("c2", "b")))
+    laws = [kr.edge_law("y"), kr.edge_law("y + 100*y^3", interval=(-0.25, 0.25)),
+            kr.edge_law("y")]
+    net = kr.build_network(g, laws, ("a", "b"))
+    res = kr.solve_interior(net, [1.0, -1.0])
+    assert res.converged and res.iterations == 5
+    np.testing.assert_allclose(res.z_c, [0.0961674, -0.0961674], rtol=0.0, atol=1e-7)
+
+
+def test_grid_solve_iteration_count():
+    # seeded counter gate: from the mean of z_B these solves take 2.99 Newton
+    # iterations each; from the linearized network's interior, 200 draws
+    # average 1.46-1.55 across seeds (40 draws spread 1.35-1.68, too close
+    # to the bound)
+    net = grid_network(32, "y + 0.1*sinh(y)")
+    rng = np.random.default_rng(0)
+    iterations = [kr.solve_interior(net, rng.uniform(-1.0, 1.0, 4)).iterations
+                  for _ in range(200)]
+    assert np.mean(iterations) <= 1.6
+
+
+@pytest.mark.parametrize("z_b", [[math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf]],
+                         ids=["nan", "inf", "both_infinities"])
+def test_boundary_values_must_be_finite(diode_opposite, z_b):
+    with pytest.raises(ValueError, match="boundary values must be finite"):
+        kr.solve_interior(diode_opposite, z_b)
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_ACYCLIC))
 def test_newton_iteration_budget(name):
     net = SHIPPED_ACYCLIC[name]()
