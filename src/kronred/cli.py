@@ -37,7 +37,6 @@ from .potential import (
     _g_vec,
     _gp_vec,
     _inside_intervals,
-    dissipated_power,
     edge_voltages,
     k_value,
     power_balance_check,
@@ -286,7 +285,7 @@ def cmd_power(args) -> int:
     names = list(net.graph.node_ids)
     z = _parse_assignments(args.assignments, names, "node")
     balance = power_balance_check(net, z)
-    print(f"{labels['power']} = {fmt(dissipated_power(net, z))}")
+    print(f"{labels['power']} = {fmt(balance.nodal_power)}")
     print(f"edge total (V.I) = {fmt(balance.edge_power)}")
     print(f"node total (psi.J) = {fmt(balance.nodal_power)}")
     print(f"|difference| = {fmt(balance.difference)}")

@@ -125,8 +125,10 @@ def graph_from_laplacian(
     reconstruction D W D^T reproduces L within 1e-8 * (1 + max|L|).  These
     checks keep an absolute floor because L is often a Schur complement
     whose entries cancel to rounding noise of a matrix this function never
-    sees (``reduce_linear`` eliminates near unit scale for that reason); the
-    edges and weights come from ``_support``, which scales with L.
+    sees, so they can refuse a Laplacian whose entries are far from unit
+    scale; the edges and weights come from ``_support``, which scales with
+    L.  The reduction reads its graphs off ``_support`` directly and does
+    not call this function.
     """
     L = np.asarray(laplacian, dtype=float)
     n = L.shape[0]

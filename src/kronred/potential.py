@@ -4,14 +4,14 @@ The potential of a network is K(z) = sum_j G_j((D^T z)_j).  Its gradient is
 the vector of nodal currents D g(D^T z) and its Hessian is the weighted
 Laplacian D diag(g'(D^T z)) D^T, so K is convex and shift invariant.
 
-None of these products uses the dense n x m incidence matrix D, which
-``Network.incidence`` builds for callers on first read.  Each network
-caches its edge list: D^T z is a gather z[head] - z[tail], and D g is a
-scatter-add of g at the heads minus the tails, both over nodal vectors in
-node-list order.  ``weighted_laplacian`` scatter-adds the four entries
-+w, +w, -w, -w per edge into a dense n x n array in node-list order; it is
-the only dense n x n Laplacian, exported for library callers; no solve and
-no CLI verb uses it.
+None of these products forms the dense n x m incidence matrix D
+(``graph.build_incidence``).  Each network caches its edge list: D^T z
+is a gather z[head] - z[tail], and D g is a scatter-add of g at the heads
+minus the tails, both over nodal vectors in node-list order.
+``weighted_laplacian`` scatter-adds the four entries +w, +w, -w, -w per
+edge into a dense n x n array in node-list order; it is the only dense
+n x n Laplacian, exported for library callers; no solve and no CLI verb
+uses it.
 
 The solver eliminates the central block H_CC through ``_packed_laplacian``,
 which scatters the same entries, in the partition order (boundary nodes
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphStructureError, IntervalError
-from .graph import DirectedGraph, build_incidence, is_connected
+from .graph import DirectedGraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,6 @@ class Network:
     graph: DirectedGraph
     laws: tuple
     partition: NodePartition
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Dense n x m incidence matrix, built on first read; no product here uses it."""
-        return build_incidence(self.graph)
 
     @cached_property
     def _law_index(self) -> _LawIndex:

@@ -26,8 +26,6 @@ from .graph import (
     DirectedGraph,
     _support,
     build_incidence,
-    fundamental_cycles,
-    graph_from_laplacian,
     is_acyclic,
     is_connected,
 )
@@ -173,7 +171,7 @@ class AssumptionCertificate:
     support_stable: bool
     supports: tuple  # per-sample frozensets of boundary index pairs
     acyclic: bool | None = None
-    consistency_residual: float | None = None
+    consistency_residual: float | None = None  # HoldoutReport.max_rel, what `accepted` reads
     integrability_max_asymmetry: float | None = None
     accepted: bool | None = None
     exact_linear: bool = False
@@ -338,7 +336,8 @@ def _recover(
     Only the tables differ.  On a forest they pool each edge's exact
     currents; on a cyclic graph they integrate each edge's reduced-Hessian
     weights and add the minimum-norm constants.  Every reduction gets the
-    held-out residual, and only a cyclic one can be left unaccepted by it.
+    relative held-out residual, and only a cyclic one can be left
+    unaccepted by it.
     """
     samples = plan.boundary_samples(len(reduced_graph.node_ids))
     dhat, results, ys, j_b = _solve_samples(net, reduced_graph, samples)
@@ -362,7 +361,7 @@ def _recover(
     certificate = replace(certificate, acyclic=acyclic)
     reduced = ReducedNetwork(reduced_graph, tuple(tables), certificate)
     report = holdout_residual(net, reduced, plan)
-    certificate.consistency_residual = report.max_abs
+    certificate.consistency_residual = report.max_rel
     certificate.accepted = acyclic or report.max_rel <= ACCEPT_RESIDUAL
     return reduced
 
@@ -401,9 +400,10 @@ def recover_edge_laws_cyclic(
     are the minimum-norm least-squares solution of
     dhat @ g(0) = mean over samples of (J_B - dhat @ integral), so they add
     no circulating current along the cycle space.  The certificate records
-    the held-out consistency residual; the reduction is accepted when it is
-    small and returned flagged otherwise.  When the graph is actually
-    acyclic the exact recovery runs instead.
+    the relative held-out residual (``HoldoutReport.max_rel``); the
+    reduction is accepted when it is at most ACCEPT_RESIDUAL and returned
+    flagged otherwise.  When the graph is actually acyclic the exact
+    recovery runs instead.
     """
     if is_acyclic(reduced_graph):
         return recover_edge_laws_acyclic(net, reduced_graph, plan, certificate)
@@ -440,18 +440,19 @@ def integrability_diagnostic(
 ) -> float:
     """Cross-derivative asymmetry of the cycle-space correction.
 
-    The gap between the sampled reduced-Hessian weights and the fitted
-    per-edge slopes is projected onto the cycle space; if that correction
-    field were the Hessian of some function its directional derivatives
-    would commute.  Returns the maximum observed asymmetry (0 for acyclic
+    The gap R = diag(w - g'(y)) between the sampled reduced-Hessian weights
+    and the fitted per-edge slopes is projected onto the cycle space ker
+    dhat, as P R P with P = I - pinv(dhat) dhat; if that correction field
+    were the Hessian of some function its directional derivatives would
+    commute.  Returns the maximum observed asymmetry (0 for acyclic
     reductions) over the first INTEGRABILITY_POINTS samples, by central
     differences of step INTEGRABILITY_STEP.  Edge-coordinate perturbations
-    are realized through boundary perturbations, i.e. projected onto the
-    realizable subspace.  The reduced graph must be oriented lower boundary
+    are realized through boundary perturbations along the columns of
+    pinv(dhat^T), i.e. projected onto the realizable subspace; the same
+    matrix gives P.  The reduced graph must be oriented lower boundary
     index = tail, as ``infer_reduced_graph`` returns it.
     """
-    f = fundamental_cycles(reduced_graph)
-    if f.shape[1] == 0:
+    if is_acyclic(reduced_graph):
         return 0.0
     dhat = build_incidence(reduced_graph)
     ids = reduced_graph.node_ids
@@ -460,7 +461,7 @@ def integrability_diagnostic(
     pairs = reduced_graph.edge_indices()
     tails, heads = np.array(pairs).T
     pinv_dt = np.linalg.pinv(dhat.T)
-    pinv_f = np.linalg.pinv(f)
+    cycles = np.eye(m_hat) - pinv_dt.T @ dhat  # the projector onto ker dhat
 
     def correction(zb: np.ndarray) -> np.ndarray:
         h = reduced_hessian(net, zb)
@@ -470,23 +471,17 @@ def integrability_diagnostic(
             raise AssumptionError(
                 f"support changed under perturbation: unexpected edge {ids[i]}->{ids[k]}"
             )
-        w = -h[tails, heads]
         yh = dhat.T @ zb
-        r = np.diag(w - np.array([laws[j].gp_at(yh[j]) for j in range(m_hat)]))
-        s = pinv_f @ r @ pinv_f.T
-        return f @ s @ f.T
+        r = -h[tails, heads] - np.array([laws[j].gp_at(yh[j]) for j in range(m_hat)])
+        return (cycles * r) @ cycles
 
     worst = 0.0
     for zb in plan.boundary_samples(len(ids))[:INTEGRABILITY_POINTS]:
-        grads = []
-        for k in range(m_hat):
-            delta = INTEGRABILITY_STEP * (pinv_dt @ np.eye(m_hat)[k])
-            grads.append((correction(zb + delta) - correction(zb - delta))
-                         / (2.0 * INTEGRABILITY_STEP))
-        for k in range(m_hat):
-            for i in range(m_hat):
-                gap = float(np.abs(grads[k][i, :] - grads[i][k, :]).max())
-                worst = max(worst, gap)
+        # grads[k, i] is row i's derivative along edge k
+        grads = np.array([(correction(zb + delta) - correction(zb - delta))
+                          / (2.0 * INTEGRABILITY_STEP)
+                          for delta in INTEGRABILITY_STEP * pinv_dt.T])
+        worst = max(worst, float(np.abs(grads - grads.transpose(1, 0, 2)).max()))
     return worst
 
 
@@ -561,11 +556,14 @@ def _line_table(weight: float) -> EdgeTable:
 def reduce_linear(net: Network) -> ReducedNetwork:
     """One-shot exact reduction for networks of laws g(y) = w y.
 
-    Takes the Schur complement of the constant Laplacian over the central
-    block and reads the reduced graph and weights straight off it; no
-    sampling and no interior solves.  Tables are exact lines.  As on the
-    sampled path, parallel edges merge into one, oriented lower boundary
-    index = tail, also when no node is central.
+    Takes the Schur complement H of the constant Laplacian over the central
+    block and reads the reduced graph straight off it, as the sampled path
+    reads each sample: one edge per pair a < b in H's ``_support``, with
+    weight -H[a, b] of the symmetrized complement.  No sampling and no
+    interior solves, and no threshold but the support's, which is relative
+    to H's diagonal, so scaling every law scales every weight.  Tables are
+    exact lines.  As on the sampled path, parallel edges merge into one,
+    oriented lower boundary index = tail, also when no node is central.
     """
     weights = np.empty(net.graph.m)
     for law, idx in net._law_index.groups:  # ordered by first edge
@@ -573,19 +571,16 @@ def reduce_linear(net: Network) -> ReducedNetwork:
             raise NonQuadraticLawError(edge_label(net, int(idx[0])))
         weights[idx] = float(law.gp_at(0.0))
     ids = boundary_ids(net)
+    h = _schur(net, weights)[0]
+    h = 0.5 * (h + h.T)  # each weight averages the two rounded triangles
+    pairs = sorted(_support(h))
+    graph = DirectedGraph(ids, tuple((ids[i], ids[k]) for i, k in pairs))
     certificate = AssumptionCertificate(
-        samples_used=0, support_stable=True, supports=(),
+        samples_used=0, support_stable=True, supports=(), acyclic=is_acyclic(graph),
         consistency_residual=0.0, integrability_max_asymmetry=0.0,
         accepted=True, exact_linear=True,
     )
-    # eliminate near unit scale: the Schur complement's rounding then stays
-    # under graph_from_laplacian's absolute floor whatever the laws' current
-    # scale.  A power of 4 stays exact through the Cholesky factor's square
-    # roots, so the weights come out bit for bit as without the scaling.
-    scale = 4.0 ** (np.frexp(weights.max(initial=0.0))[1] // 2)
-    graph, reduced_weights = graph_from_laplacian(_schur(net, weights / scale)[0], ids)
-    certificate.acyclic = is_acyclic(graph)
-    tables = tuple(_line_table(scale * w) for w in reduced_weights)
+    tables = tuple(_line_table(-h[i, k]) for i, k in pairs)
     return ReducedNetwork(graph, tables, certificate)
 
 

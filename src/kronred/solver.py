@@ -119,22 +119,21 @@ def _factor_central(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise SolveError("interior Hessian factorization failed") from exc
 
 
-def solve_interior(net: Network, z_b, init=None) -> SolveResult:
+def solve_interior(net: Network, z_b) -> SolveResult:
     """Solve the zero interior-current constraint for z_C at fixed z_B.
 
     Newton steps use the interior block of the weighted Laplacian; a
     halving line search accepts a step once the interior residual norm has
     decreased sufficiently and all edge values stay inside their validity
-    intervals.  Iteration starts from ``init``; when it is omitted, from
-    z_mean + S_0 (z_B - z_mean), with z_mean the mean boundary value and S_0
-    the sensitivity of the network linearized at edge value 0
-    (``_start_map``), or from z_mean when that start leaves the validity
-    box.  It stops once the largest interior current is at most
-    max(DEFAULT_TOL min(1, s), ROUNDING_TOL s), where s is the largest edge
-    current |g_j(y_j)| at the iterate.  The test is relative to the
-    network's own current scale, so multiplying every law by a constant
-    leaves z_C the same.  It is never looser than DEFAULT_TOL in absolute
-    terms until rounding sets the floor, at currents above ~440
+    intervals.  Iteration starts from z_mean + S_0 (z_B - z_mean), with
+    z_mean the mean boundary value and S_0 the sensitivity of the network
+    linearized at edge value 0 (``_start_map``), or from z_mean when that
+    start leaves the validity box.  It stops once the largest interior
+    current is at most max(DEFAULT_TOL min(1, s), ROUNDING_TOL s), where s
+    is the largest edge current |g_j(y_j)| at the iterate.  The test is
+    relative to the network's own current scale, so multiplying every law
+    by a constant leaves z_C the same.  It is never looser than DEFAULT_TOL
+    in absolute terms until rounding sets the floor, at currents above ~440
     (ROUNDING_TOL = 1024 eps).  Raises SolveError after DEFAULT_MAX_ITER
     iterations (suspected global solvability failure) or when steps cannot
     stay inside the box.  Raises ValueError on a boundary value that is
@@ -152,17 +151,11 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
         raise ValueError("boundary values must be finite")
     z = np.empty(net.graph.n)  # the iterate, in node-list order
     z[boundary] = z_b
-    if init is None:
-        # the linearized network's interior, applied to deviations from the
-        # mean, so that a constant z_B starts exactly at that constant
-        mean = z_b.sum() / n_b
-        start = _start_map(net)
-        z[central] = mean if start is None else mean + start @ (z_b - mean)
-    else:
-        init = np.asarray(init, dtype=float)
-        if len(init) != len(central):
-            raise ValueError(f"expected {len(central)} central values, got {len(init)}")
-        z[central] = init
+    # the linearized network's interior, applied to deviations from the
+    # mean, so that a constant z_B starts exactly at that constant
+    mean = z_b.sum() / n_b
+    start = _start_map(net)
+    z[central] = mean if start is None else mean + start @ (z_b - mean)
 
     def currents(yv):  # nodal currents, and the stopping tolerance at their scale
         g = _g_vec(net, yv)
@@ -171,7 +164,7 @@ def solve_interior(net: Network, z_b, init=None) -> SolveResult:
 
     y = _edge_values(net, z)
     bad = _first_violation(net, y)
-    if bad >= 0 and init is None:  # the linearized start leaves the box: start from the mean
+    if bad >= 0:  # the linearized start leaves the box: start from the mean
         z[central] = mean
         y = _edge_values(net, z)
         bad = _first_violation(net, y)

@@ -63,7 +63,7 @@ SIGNATURES = {
     "reduced_hessian": "(net, z_b)",
     "reduced_potential": "(net, z_b)",
     "sensitivity": "(net, z_b)",
-    "solve_interior": "(net, z_b, init=None)",
+    "solve_interior": "(net, z_b)",
     "to_text": "(expr)",
     "weighted_laplacian": "(net, z)",
 }

@@ -1,6 +1,8 @@
 """Incidence algebra, connectivity, acyclicity, Laplacian reconstruction."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +198,36 @@ def test_fundamental_cycles_span_kernel(seed):
 def test_fundamental_cycles_tree_is_empty():
     g = DirectedGraph(("0", "1", "2"), (("1", "0"), ("2", "0")))
     assert fundamental_cycles(g).shape == (2, 0)
+
+
+def test_only_the_graph_module_names_the_laplacian_and_cycle_helpers():
+    """The reduction reads its graphs off Schur complements, not through these helpers.
+
+    ``graph_from_laplacian`` and ``fundamental_cycles`` stay exported for
+    library callers: the package's re-export from ``.graph`` is the only
+    other place that may name them.  Read statically, so every code path
+    is covered.
+    """
+    helpers = {"graph_from_laplacian", "fundamental_cycles"}
+    sources = sorted(Path(kr.__file__).parent.glob("*.py"))
+    assert "reduction.py" in [path.name for path in sources]
+    named = []
+    for path in sources:
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        reexport = {id(alias) for node in ast.walk(tree)
+                    if path.name == "__init__.py" and isinstance(node, ast.ImportFrom)
+                    and node.level == 1 and node.module == "graph" for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and id(node) not in reexport:
+                name = node.name
+            else:
+                continue
+            if name in helpers:
+                named.append(f"{path.name}:{node.lineno}: {name}")
+    assert named == []

@@ -98,7 +98,7 @@ def test_weighted_laplacian_star_degree(linear_star):
 def _assert_edge_list_matches_incidence(net, rng):
     order = list(net.partition.boundary + net.partition.central)
     assert net._edge_list.order.tolist() == order
-    d = net.incidence  # dense oracle, rows in node-list order
+    d = kr.build_incidence(net.graph)  # dense oracle, rows in node-list order
     w = rng.uniform(0.1, 3.0, net.graph.m)
     dense = (d[order] * w) @ d[order].T  # only the packed scatter is partition-ordered
     n_b, kd = len(net.partition.boundary), net._edge_list.kd
@@ -130,7 +130,7 @@ def test_edge_list_matches_dense_incidence(seed):
     moved = replace(net, partition=kr.NodePartition(tuple(perm[:n_b]), tuple(perm[n_b:])))
     _assert_edge_list_matches_incidence(moved, rng)
     # the public node-order products agree with the dense incidence too
-    d = moved.incidence
+    d = kr.build_incidence(moved.graph)
     z = rng.uniform(-0.5, 0.5, moved.graph.n)
     y = d.T @ z
     np.testing.assert_allclose(edge_voltages(moved, z), y, rtol=0.0, atol=1e-15)
@@ -254,7 +254,8 @@ def test_potential_pieces_are_consistent(diode_opposite):
     np.testing.assert_allclose(grad, fd_grad, atol=1e-7)
     fd_hess = finite_difference_jacobian(lambda v: kr.nodal_currents(diode_opposite, v), z)
     np.testing.assert_allclose(kr.weighted_laplacian(diode_opposite, z), fd_hess, atol=1e-7)
-    np.testing.assert_allclose(edge_voltages(diode_opposite, z), diode_opposite.incidence.T @ z)
+    d = kr.build_incidence(diode_opposite.graph)
+    np.testing.assert_allclose(edge_voltages(diode_opposite, z), d.T @ z)
 
 
 def test_law_count_mismatch_rejected():
@@ -320,15 +321,15 @@ def test_grouped_law_values_match_scalar_loop(seed):
 def test_interval_checks_name_first_offending_edge(seed):
     net, rng = _mixed_network(seed)
     z = rng.uniform(-4.0, 4.0, net.graph.n)
-    bad = _first_violation_loop(net, net.incidence.T @ z)
+    bad = _first_violation_loop(net, kr.build_incidence(net.graph).T @ z)
     if bad < 0:
         edge_voltages(net, z)
         return
     with pytest.raises(IntervalError) as info:
         edge_voltages(net, z)
     assert info.value.edge == edge_label(net, bad)
-    boundary = list(net.partition.boundary)
-    central = list(net.partition.central)
-    with pytest.raises(SolveError) as info:
-        kr.solve_interior(net, z[boundary], init=z[central])
+    # with every node boundary, the solver's first edge values are D^T z
+    everything = replace(net, partition=kr.NodePartition(tuple(range(net.graph.n)), ()))
+    with pytest.raises(SolveError, match="boundary assignment leaves") as info:
+        kr.solve_interior(everything, z)
     assert info.value.edge == edge_label(net, bad)

@@ -14,7 +14,7 @@ import kronred as kr
 from kronred import reduction, solver
 from kronred.cli import main
 from kronred.errors import AssumptionError, NonQuadraticLawError
-from kronred.graph import build_incidence
+from kronred.graph import build_incidence, fundamental_cycles
 from kronred.netfile import load_network
 from kronred.reduction import SamplingPlan, _pool_edge_samples, monotone_cubic
 from kronred.solver import _schur, solve_interior
@@ -221,6 +221,45 @@ def test_integrability_reports_finite_value_for_nonlinear_cycle():
     assert np.isfinite(value)
 
 
+def _cycle_basis_diagnostic(net, graph, plan, candidate):
+    """``integrability_diagnostic`` with the correction projected through a cycle basis F.
+
+    F (F^+ R F^+T) F^T is the projection of R onto ker dhat, formed from
+    ``fundamental_cycles``; asymmetries are compared pair by pair.
+    """
+    f = fundamental_cycles(graph)
+    dhat = build_incidence(graph)
+    tails, heads = np.array(graph.edge_indices()).T
+    laws = candidate.laws()
+    pinv_dt, pinv_f = np.linalg.pinv(dhat.T), np.linalg.pinv(f)
+
+    def correction(zb):
+        yh = dhat.T @ zb
+        slopes = np.array([law.gp_at(yh[j]) for j, law in enumerate(laws)])
+        r = np.diag(-kr.reduced_hessian(net, zb)[tails, heads] - slopes)
+        return f @ (pinv_f @ r @ pinv_f.T) @ f.T
+
+    step = reduction.INTEGRABILITY_STEP
+    worst = 0.0
+    for zb in plan.boundary_samples(graph.n)[:reduction.INTEGRABILITY_POINTS]:
+        grads = [(correction(zb + step * d) - correction(zb - step * d)) / (2.0 * step)
+                 for d in pinv_dt.T]
+        for k in range(graph.m):
+            for i in range(graph.m):
+                worst = max(worst, float(np.abs(grads[k][i] - grads[i][k]).max()))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["diode_ring", "series_triangle"])
+def test_integrability_matches_cycle_basis_formula(name):
+    net = load_network(NETWORKS_DIR / f"{name}.json").network
+    plan = SamplingPlan(count=64, seed=1)
+    reduced = kr.reduce_network(net, plan)
+    value = reduced.certificate.integrability_max_asymmetry
+    want = _cycle_basis_diagnostic(net, reduced.graph, plan, reduced)
+    assert want > 0.0 and abs(value - want) <= 1e-12 * want
+
+
 def test_effective_curve_diode_opposite(diode_opposite):
     pts = kr.effective_curve(diode_opposite, "1", "2", [0.0, 2.0])
     assert pts[0].current == pytest.approx(0.0, abs=1e-12)
@@ -323,6 +362,32 @@ def test_linearity_is_read_off_the_law_tree(text, exact):
     reduced = kr.reduce_network(net, SamplingPlan(count=16, seed=0))
     assert reduced.certificate.exact_linear is exact
     assert reduced.graph.edges == (("1", "2"),) and reduced.certificate.accepted
+
+
+def _linear_via_laplacian(net):
+    """The reduced graph and weights of a network of lines, by ``graph_from_laplacian``.
+
+    The weights are divided by a power of 4 near their largest before the
+    elimination and multiplied back after it: that keeps every bit and
+    brings the Schur complement's rounding under that function's absolute
+    floor at any current scale.
+    """
+    weights = np.array([float(law.gp_at(0.0)) for law in net.laws])
+    scale = 4.0 ** (np.frexp(weights.max())[1] // 2)
+    graph, w = kr.graph_from_laplacian(_schur(net, weights / scale)[0],
+                                   reduction.boundary_ids(net))
+    return graph, scale * w
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1e-9, 1e9)))
+def test_reduce_linear_matches_graph_from_laplacian(seed, c):
+    pool = tuple(f"{c!r}*{text}" for text in ("y", "2*y", "0.5*y", "1.5*y"))
+    net = random_network(np.random.default_rng(seed), law_pool=pool)
+    reduced = kr.reduce_linear(net)
+    graph, weights = _linear_via_laplacian(net)
+    assert reduced.graph == graph
+    for table, weight in zip(reduced.edge_tables, weights, strict=True):
+        np.testing.assert_array_equal(table.current, weight * table.y)
 
 
 def _reduced_laplacian(graph, w, boundary_ids):

@@ -21,7 +21,7 @@ from kronred.cli import main
 from kronred.errors import HomogeneityError, SolveError
 from kronred.reduction import boundary_ids
 
-from conftest import LAW_POOL, SI_SATURATION, SI_THERMAL, random_network
+from conftest import LAW_POOL, SI_SATURATION, SI_THERMAL, diode_ring_net, random_network
 
 SCALES = (1e-15, 1e-9, 1e6, 1e9)
 RTOL = 1e-9
@@ -165,3 +165,15 @@ def test_linear_pair_reduces_onto_one_node_at_any_scale(c):
     net = kr.build_network(g, [kr.edge_law(f"{c!r}*(0.5*y)")] * 2, ("1",))
     reduced = kr.reduce_network(net)
     assert reduced.graph.edges == () and reduced.certificate.exact_linear
+
+
+@pytest.mark.parametrize("c", (1e-12, 1e6))
+def test_ring_consistency_residual_keeps_its_value_at_any_scale(c):
+    # the residual is the held-out gap over the largest held-out current, the
+    # number the ring's acceptance reads, so scaling every law keeps it
+    ring = diode_ring_net()
+    laws = [kr.edge_law(f"{c!r}*({law.source})") for law in ring.laws]
+    scaled = kr.build_network(ring.graph, laws, boundary_ids(ring))
+    want = kr.reduce_network(ring).certificate.consistency_residual
+    got = kr.reduce_network(scaled).certificate.consistency_residual
+    assert abs(got - want) <= 1e-8 * want
