@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import cache, partial
+from typing import Callable, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvexityError, ExprSyntaxError, IntervalError
 
@@ -438,13 +438,15 @@ class EdgeLaw:
         return _integrate(self.g, y)
 
 
-def scan_convexity(g_prime: Expr, interval: tuple[float, float]) -> tuple[float, float | None]:
-    """Sample g' on a uniform grid of DEFAULT_CONVEXITY_SAMPLES points.
+def scan_convexity(slope: Callable, interval: tuple[float, float]) -> tuple[float, float | None]:
+    """Sample a law's slope function g' on a uniform grid of DEFAULT_CONVEXITY_SAMPLES points.
 
-    Returns (min value, first violating y or None).
+    This is the one monotonicity certificate, for parsed and table laws
+    alike.  Returns (min value, None) when every sample is finite and > 0,
+    else (value, y) at the first violating grid point y.
     """
     grid = np.linspace(interval[0], interval[1], DEFAULT_CONVEXITY_SAMPLES)
-    values = np.broadcast_to(np.asarray(evaluate(g_prime, grid), dtype=float), grid.shape)
+    values = np.broadcast_to(np.asarray(slope(grid), dtype=float), grid.shape)
     bad = ~(np.isfinite(values) & (values > 0.0))
     if bad.any():
         idx = int(np.argmax(bad))
@@ -457,28 +459,27 @@ def edge_law(
     kind: str = "conductance",
     interval: tuple[float, float] = DEFAULT_INTERVAL,
 ) -> EdgeLaw:
-    """Build a certified EdgeLaw from law text.
+    """Build a certified EdgeLaw from law text; the one home of the kind and interval rules.
 
     ``kind="conductance"`` treats the text as g itself; ``kind="cocontent"``
     differentiates once to get g.  The validity interval must be finite, with
     a finite width, and straddle 0 so the quadrature anchor G(0) = 0 is
-    inside it.  g' is certified positive by ``scan_convexity``; a violation
-    raises ConvexityError.
+    inside it.  The kind is checked first, then the interval (both raise
+    ValueError), then the text is parsed (ExprSyntaxError).  g' is certified
+    positive by ``scan_convexity``; a violation raises ConvexityError.
     """
+    if kind not in ("conductance", "cocontent"):
+        raise ValueError(f"unknown law kind {kind!r}")
     lo, hi = float(interval[0]), float(interval[1])
     if not np.isfinite(hi - lo):  # also when lo or hi is not finite
         raise ValueError(f"validity interval must be finite, with a finite width, got [{lo}, {hi}]")
     if not lo < 0.0 < hi:
         raise ValueError(f"validity interval must straddle 0, got [{lo}, {hi}]")
-    parsed = parse_law(text)
-    if kind == "conductance":
-        g = parsed
-    elif kind == "cocontent":
-        g = differentiate(parsed)
-    else:
-        raise ValueError(f"unknown law kind {kind!r}")
+    g = parse_law(text)
+    if kind == "cocontent":
+        g = differentiate(g)
     g_prime = differentiate(g)
-    margin, violation = scan_convexity(g_prime, (lo, hi))
+    margin, violation = scan_convexity(partial(evaluate, g_prime), (lo, hi))
     if violation is not None:
         raise ConvexityError(violation, margin, text)
     return EdgeLaw(g, g_prime, kind, (lo, hi), margin, text)
@@ -498,8 +499,14 @@ def cocontent(law: EdgeLaw, y: float) -> float:
     return float(law.cocontent(np.array([float(y)]))[0])
 
 
+@cache
 def _gauss_panel_rule(low: int, high: int):
-    """Nodes on [0, 1] of two Gauss-Legendre orders, and their weights as two rows."""
+    """Nodes on [0, 1] of two Gauss-Legendre orders, and their weights as two rows.
+
+    Formed on first use, so only the co-content quadrature loads ``numpy.polynomial``.
+    """
+    from numpy.polynomial.legendre import leggauss
+
     x_lo, w_lo = leggauss(low)
     x_hi, w_hi = leggauss(high)
     nodes = 0.5 * (np.concatenate([x_lo, x_hi]) + 1.0)
@@ -509,7 +516,6 @@ def _gauss_panel_rule(low: int, high: int):
     return nodes, weights
 
 
-_NODES, _WEIGHTS = _gauss_panel_rule(10, 20)
 _NOISE = 64.0 * np.finfo(float).eps
 
 
@@ -524,6 +530,7 @@ def _integrate(g: Expr, y: np.ndarray) -> np.ndarray:
     COCONTENT_DEPTH times.  The order-10 gap overstates the order-20 error by
     orders of magnitude, so the result is far inside the tolerance.
     """
+    nodes, weights = _gauss_panel_rule(10, 20)
     total = np.zeros(len(y))
     owner = np.arange(len(y))
     start = np.zeros(len(y))
@@ -531,12 +538,12 @@ def _integrate(g: Expr, y: np.ndarray) -> np.ndarray:
     scale = None
     for depth in range(COCONTENT_DEPTH + 1):
         span = share * y[owner]
-        points = y[owner, None] * (start[:, None] + share[:, None] * _NODES)
+        points = y[owner, None] * (start[:, None] + share[:, None] * nodes)
         values = np.broadcast_to(evaluate(g, points), points.shape)
-        low, high = (values @ _WEIGHTS.T * span[:, None]).T
+        low, high = (values @ weights.T * span[:, None]).T
         if scale is None:
             scale = np.where(np.isfinite(high), np.abs(high), 0.0)
-        noise = _NOISE * (np.abs(values) @ _WEIGHTS[1]) * np.abs(span)
+        noise = _NOISE * (np.abs(values) @ weights[1]) * np.abs(span)
         gap = np.abs(high - low)
         done = ~(gap > np.maximum(COCONTENT_RTOL * scale[owner] * share, noise))
         if depth == COCONTENT_DEPTH:

@@ -81,7 +81,7 @@ def _is_number(value) -> bool:
 
 def _table_column(table: dict, key: str, location: str) -> np.ndarray:
     """One table column as floats; it must be a list of finite numbers."""
-    values = table[key]
+    values = table.get(key)
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise NetworkFileError(f"table {key!r} must be a list of numbers", location)
     column = np.asarray(values, dtype=float)
@@ -91,16 +91,27 @@ def _table_column(table: dict, key: str, location: str) -> np.ndarray:
 
 
 def certify_table(y: np.ndarray, current: np.ndarray, location: str) -> TableLaw:
-    """The law interpolating a table; raises ConvexityError unless its margin is > 0."""
-    law = TableLaw(y, current)
-    if not law.convexity_margin > 0.0:  # NaN fails too
-        raise ConvexityError(float("nan"), law.convexity_margin, f"table at {location}")
+    """The law interpolating a table.
+
+    Raises NetworkFileError when ``TableLaw`` refuses the table's shape, and
+    ConvexityError at the first y of its interval where g' is not > 0.
+    """
+    try:
+        law = TableLaw(y, current)
+    except ValueError as exc:
+        raise NetworkFileError(str(exc), location) from exc
+    if law.violation is not None:
+        raise ConvexityError(law.violation, law.convexity_margin, f"table at {location}")
     return law
 
 
 def parse_document(data: dict, location: str = "document") -> ParsedDocument:
     """Validate structure and certify every edge's law in one pass.
 
+    This function checks only the JSON shape of an edge; the law rules are
+    the law's own.  ``edge_law`` judges a parsed law's kind, then its
+    interval, then its text, and ``TableLaw`` a table's shape; a ValueError
+    or syntax error from either becomes a NetworkFileError at that edge.
     Each distinct (law text, kind, interval) is certified once, at its first
     edge, and every edge that carries it shares the one law object, or the
     one ConvexityError refusing it; each table is certified on its own.  A
@@ -145,18 +156,10 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
             raise NetworkFileError("self-loops are not allowed", loc)
         if reduced:
             table = _require(entry, "table", dict, loc)
-            y = table.get("y")
-            current = table.get("current")
-            if not isinstance(y, list) or not isinstance(current, list) or len(y) != len(current):
-                raise NetworkFileError("table needs equal-length 'y' and 'current' lists", loc)
-            if len(y) < 2:
-                raise NetworkFileError("table needs at least two samples", loc)
             ya = _table_column(table, "y", loc)
             ia = _table_column(table, "current", loc)
             if "cocontent" in table:
                 _table_column(table, "cocontent", loc)  # checked, never read
-            if not (np.diff(ya) > 0).all():
-                raise NetworkFileError("table 'y' values must be strictly increasing", loc)
             try:
                 law = certify_table(ya, ia, loc)
             except ConvexityError as exc:
@@ -164,21 +167,18 @@ def parse_document(data: dict, location: str = "document") -> ParsedDocument:
         else:
             law_text = _require(entry, "law", str, loc)
             kind = entry.get("kind", "conductance")
-            if kind not in ("conductance", "cocontent"):
-                raise NetworkFileError(f"unknown law kind {kind!r}", loc)
+            if not isinstance(kind, str):
+                raise NetworkFileError("field 'kind' has the wrong type", loc)
             interval = entry.get("interval", list(DEFAULT_INTERVAL))
             if (not isinstance(interval, list) or len(interval) != 2
                     or not all(_is_number(v) for v in interval)):
                 raise NetworkFileError("interval must be a [lo, hi] pair", loc)
-            lo, hi = float(interval[0]), float(interval[1])
-            if not np.isfinite(hi - lo):  # also when lo or hi is not finite
-                raise NetworkFileError("interval must be finite, with a finite width", loc)
-            if not lo < 0.0 < hi:
-                raise NetworkFileError("interval must straddle 0", loc)
-            key = (law_text, kind, (lo, hi))
+            key = (law_text, kind, (float(interval[0]), float(interval[1])))
             if key not in certified:
                 try:
-                    certified[key] = edge_law(law_text, kind=kind, interval=(lo, hi))
+                    certified[key] = edge_law(law_text, kind=kind, interval=key[2])
+                except ValueError as exc:  # the kind or interval rule
+                    raise NetworkFileError(str(exc), loc) from exc
                 except ExprSyntaxError as exc:
                     raise NetworkFileError(f"law does not parse: {exc}", loc) from exc
                 except ConvexityError as exc:

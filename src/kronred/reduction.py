@@ -21,7 +21,7 @@ import numpy as np
 
 from .cubic import HermiteCubic, spline
 from .errors import AssumptionError, NonQuadraticLawError, SolveError
-from .exprlaw import EdgeLaw, Num, differentiate
+from .exprlaw import EdgeLaw, Num, differentiate, scan_convexity
 from .graph import (
     DirectedGraph,
     _support,
@@ -44,7 +44,6 @@ MERGE_WINDOW = 1e-7
 ACCEPT_RESIDUAL = 1e-7  # largest HoldoutReport.max_rel of an accepted cyclic reduction
 LINEAR_TABLE_SPAN = 4.0  # exact linear tables cover [-span, span]
 LINEAR_TABLE_POINTS = 33
-TABLE_PAD = 0.02  # table validity extends this fraction of its span past each end
 HOLDOUT_SHRINK = 0.8  # held-out box, relative to the sampling box
 HOLDOUT_COUNT = 50  # held-out samples per residual
 INTEGRABILITY_STEP = 1e-3
@@ -96,8 +95,6 @@ def monotone_cubic(x: np.ndarray, y: np.ndarray) -> HermiteCubic:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) < 2:
-        raise ValueError("need at least two samples to interpolate")
     secants = np.diff(y) / np.diff(x)
     slopes = spline(x, y).derivative(x)
     limit = np.empty_like(slopes)
@@ -109,25 +106,32 @@ def monotone_cubic(x: np.ndarray, y: np.ndarray) -> HermiteCubic:
 
 
 class TableLaw:
-    """Edge law backed by a monotone sample table.
+    """Edge law backed by a monotone sample table, defined on [y[0], y[-1]].
 
     Provides the same evaluation protocol as a parsed law: g_at, gp_at and
     cocontent (anchored at 0) on arrays of edge values, contains,
     validity_interval and a sampled convexity margin.  The three evaluations
     are the ``monotone_cubic`` interpolant, its exact derivative and its
-    exact antiderivative.  An extrapolation pad of TABLE_PAD times the
-    sampled range at each end keeps held-out evaluation robust.
+    exact antiderivative.  The validity interval is the data's own range,
+    where the Fritsch-Carlson slopes keep g' >= 0; ``scan_convexity`` samples
+    g' there, and ``violation`` is the first y where g' is not > 0, or None.
+    A table needs at least two samples, equal lengths and finite, strictly
+    increasing y; otherwise the constructor raises ValueError.
     """
 
     def __init__(self, y: np.ndarray, current: np.ndarray):
         self.y = np.asarray(y, dtype=float)
         self.current = np.asarray(current, dtype=float)
+        if len(self.y) != len(self.current):
+            raise ValueError("table needs equal-length 'y' and 'current' lists")
+        if len(self.y) < 2:
+            raise ValueError("table needs at least two samples")
+        if not (np.isfinite(self.y).all() and (np.diff(self.y) > 0).all()):
+            raise ValueError("table 'y' values must be finite and strictly increasing")
         self._f = monotone_cubic(self.y, self.current)
         self._anchor = float(self._f.antiderivative(0.0))
-        pad = TABLE_PAD * (self.y[-1] - self.y[0])
-        self.validity_interval = (float(self.y[0] - pad), float(self.y[-1] + pad))
-        grid = np.linspace(self.y[0], self.y[-1], 513)
-        self.convexity_margin = float(np.min(self._f.derivative(grid)))
+        self.validity_interval = (float(self.y[0]), float(self.y[-1]))
+        self.convexity_margin, self.violation = scan_convexity(self._f.derivative, self.validity_interval)
 
     def contains(self, y: float) -> bool:
         lo, hi = self.validity_interval

@@ -109,8 +109,10 @@ def test_reduced_flag_must_be_boolean(flag, tmp_path, capsys):
     assert err.startswith("error: ") and "net.json.reduced" in err and "table" not in err
 
 
-@pytest.mark.parametrize("interval", [[-math.inf, math.inf], [-math.inf, 8.0], [-1e308, 1e308]],
-                         ids=["both_infinite", "lo_infinite", "width_overflows"])
+@pytest.mark.parametrize("interval", [[-math.inf, math.inf], [-math.inf, 8.0], [-1e308, 1e308],
+                                      [1.0, 2.0], [-2.0, -1.0]],
+                         ids=["both_infinite", "lo_infinite", "width_overflows", "above_zero",
+                              "below_zero"])
 @pytest.mark.parametrize("law", ["y", "y + tanh(y)"])
 def test_interval_must_be_finite(interval, law, tmp_path, capsys):
     # json writes and reads the literals Infinity and -Infinity; a certificate
@@ -128,6 +130,20 @@ def test_interval_must_not_hold_a_boolean(tmp_path, capsys):
     assert main(["check", write(tmp_path, "net.json", doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edges[0]" in err and "interval" in err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "voltage"}, "unknown law kind 'voltage'"),
+    ({"kind": ["conductance"]}, "field 'kind' has the wrong type"),
+    # two faults in one edge: the kind is judged first, then the interval, then the text
+    ({"kind": "voltage", "interval": [1.0, 2.0], "law": "exp(q)"}, "unknown law kind"),
+    ({"interval": [1.0, 2.0], "law": "exp(q)"}, "validity interval must straddle 0"),
+], ids=["unknown_kind", "kind_not_text", "kind_first", "interval_first"])
+def test_edge_law_rules_name_the_edge(fields, message, tmp_path, capsys):
+    doc = dict(DIODE, edges=[DIODE["edges"][0], dict(DIODE["edges"][1], **fields)])
+    assert main(["check", write(tmp_path, "net.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges[1]" in err and message in err
 
 
 def test_check_flags_convexity_failure(tmp_path, capsys):
@@ -622,8 +638,65 @@ def test_table_must_not_hold_booleans(tmp_path, capsys):
 
 def test_table_with_nan_margin_is_not_certified():
     y = np.array([-1.0, 0.0, 1.0, 2.0])
-    with pytest.raises(kr.ConvexityError):
+    with pytest.raises(kr.ConvexityError) as info:
         kronred.netfile.certify_table(y, np.array([-1.0, np.nan, 1.0, 2.0]), "edges[0]")
+    assert math.isfinite(info.value.y)
+
+
+def test_decreasing_table_names_its_first_violation():
+    y = np.array([-1.0, 0.0, 1.0, 2.0])
+    with pytest.raises(kr.ConvexityError, match=r"table at edges\[0\]") as info:
+        kronred.netfile.certify_table(y, -y, "edges[0]")
+    assert info.value.y == -1.0 and info.value.value < 0.0
+
+
+@pytest.mark.parametrize("doc_table, message", [
+    ({"y": [0.0, 2.0, 1.0], "current": [0.0, 1.0, 2.0]}, "strictly increasing"),
+    ({"y": [0.0], "current": [0.0]}, "at least two samples"),
+    ({"y": [0.0, 1.0, 2.0], "current": [0.0, 1.0]}, "equal-length"),
+    ({"current": [0.0, 1.0]}, "'y' must be a list of numbers"),
+], ids=["unsorted", "one_point", "unequal_lengths", "missing_y"])
+def test_table_shape_rules_name_the_edge(doc_table, message, tmp_path, capsys):
+    doc = {"reduced": True, "nodes": ["a", "b"], "boundary": ["a", "b"],
+           "edges": [{"from": "a", "to": "b", "table": doc_table}]}
+    assert main(["check", write(tmp_path, "reduced.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges[0]" in err and message in err
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reduced_tables_are_monotone_on_their_whole_interval(seed, tmp_path, capsys):
+    # each table is defined on its data; an interval 2 % wider once held g' < 0
+    # past the end knots (seed 1, edge 2->3: g' = -0.676 at y = 3.746) while
+    # check certified it from the data range alone
+    out = tmp_path / "ring.json"
+    source = str(NETWORKS_DIR / "diode_ring.json")
+    main(["reduce", source, "--samples", "400", "--seed", str(seed), "--out", str(out)])
+    for law in load_network(out).network.laws:
+        grid = np.linspace(*law.validity_interval, 20001)
+        assert (law.gp_at(grid) > 0.0).all()
+    capsys.readouterr()
+    assert main(["check", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["solve", "curve"])
+def test_reduced_file_is_defined_on_its_data(verb, tmp_path, capsys):
+    path = str(tmp_path / "pair.json")
+    assert main(["reduce", str(NETWORKS_DIR / "diode_same.json"), "--samples", "64",
+                 "--out", path]) == 0
+    edge = json.loads((tmp_path / "pair.json").read_text())["edges"][0]
+    assert (edge["from"], edge["to"]) == ("1", "2")
+    first, last = edge["table"]["y"][0], edge["table"]["y"][-1]
+    # solve sets the edge value z_2 - z_1 = v; curve drives the pair at V = z_1 - z_2 = -v
+    for v, code in ((last, 0), (first, 0), (last + 1e-6, 3), (first - 1e-6, 3)):
+        lo, hi = sorted((0.0, -v))
+        argv = (["solve", path, "1=0", f"2={v!r}"] if verb == "solve" else
+                ["curve", path, "--pair", "1,2", "--vmin", repr(lo), "--vmax", repr(hi), "--points", "2"])
+        capsys.readouterr()
+        assert main(argv) == code
+        if verb == "solve" and code == 3:
+            assert "edge 0 (1->2)" in capsys.readouterr().err
 
 
 def test_check_passes_on_narrow_reduced_tables(tmp_path, capsys):

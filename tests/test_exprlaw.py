@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ def test_convexity_certificate_catches_narrow_dip():
 
 def test_scan_convexity_locates_first_violation():
     gp = differentiate(parse_law("tanh(y) - y"))
-    value, violation = scan_convexity(gp, (-3.0, 3.0))
+    value, violation = scan_convexity(partial(evaluate, gp), (-3.0, 3.0))
     assert violation == -3.0  # first grid point already violates
 
 
@@ -275,6 +276,15 @@ def test_cocontent_given_kind():
 def test_interval_must_straddle_zero():
     with pytest.raises(ValueError):
         edge_law("y", interval=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("kind, interval, match", [
+    ("voltage", (1.0, 2.0), "unknown law kind"),  # kind before interval
+    ("conductance", (1.0, 2.0), "straddle"),  # interval before text
+])
+def test_edge_law_checks_kind_then_interval_then_text(kind, interval, match):
+    with pytest.raises(ValueError, match=match):
+        edge_law("exp(q)", kind=kind, interval=interval)
 
 
 @pytest.mark.parametrize("interval", [(-math.inf, math.inf), (-math.inf, 8.0), (-1e308, 1e308),

@@ -85,6 +85,28 @@ def test_verb_loads_scipy_linalg_only(verb, reduced_file):
     assert json.loads(done.stderr.splitlines()[-1]) == []
 
 
+# reduce never needs a co-content quadrature, and solve or curve on a reduced
+# file takes co-content from the tables, so neither loads its Gauss-Legendre rule
+QUADRATURE_CHILD = """
+import sys
+from kronred.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print("numpy.polynomial" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("verb", ["reduce-sampled", "reduce-linear", "reduce-ring", "solve-reduced",
+                                  "curve-reduced"])
+def test_verb_loads_no_quadrature_rule(verb, reduced_file):
+    argv, codes = VERBS[verb]
+    argv = [reduced_file if arg == "REDUCED" else arg for arg in argv]
+    done = _run(["-c", QUADRATURE_CHILD, *argv])
+    assert done.returncode in codes, done.stderr
+    assert done.stderr.splitlines()[-1] == "False"
+
+
 def test_min_heat_still_runs():
     done = _run(["-m", "kronred.cli", "power", _net("linear_series"), "1=1", "2=0", "--min-heat"])
     assert done.returncode == 0, done.stderr

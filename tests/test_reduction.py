@@ -641,6 +641,19 @@ def test_monotone_cubic_is_monotone(xs, seed):
     assert (np.diff(vals) >= -1e-12 * (1.0 + np.abs(vals).max())).all()
 
 
+@pytest.mark.parametrize("y, current", [
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+    ([0.0], [0.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0]),
+], ids=["unsorted", "repeated", "nan", "infinite", "one_point", "unequal_lengths"])
+def test_table_law_refuses_a_malformed_table(y, current):
+    with pytest.raises(ValueError, match="table"):
+        kr.TableLaw(y, current)
+
+
 def test_reduced_network_view_evaluates(diode_opposite):
     rn = kr.reduce_network(diode_opposite, PLAN)
     net = rn.as_network()
