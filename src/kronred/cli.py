@@ -245,15 +245,17 @@ def cmd_curve(args) -> int:
     with _output(args.out) as out:
         points = effective_curve(loaded.network, a, b, grid)
         out.write("V,I,Ghat\n")
-        failures = 0
+        failed = []
         for p in points:
             if p.converged:
                 out.write(f"{fmt(p.v)},{fmt(p.current)},{fmt(p.cocontent)}\n")
             else:
-                failures += 1
+                failed.append(p)
                 out.write(f"{fmt(p.v)},failed,failed\n")
-    if failures:
-        print(f"{failures} of {len(points)} solves failed", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} of {len(points)} solves failed", file=sys.stderr)
+        print(f"first failure at V = {fmt(failed[0].v)}: solver failure: {failed[0].message}",
+              file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -15,6 +15,7 @@ diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -263,18 +264,25 @@ def _pool_edge_samples(ys: np.ndarray, currents: np.ndarray, context: str):
 
 
 def _merge_runs(y: np.ndarray, v: np.ndarray):
-    """Average each run of sorted ``y`` within MERGE_WINDOW of the run's first value."""
-    merged_y = []
-    merged_v = []
-    start = 0
-    while start < len(y):
-        stop = start + 1
-        while stop < len(y) and y[stop] - y[start] <= MERGE_WINDOW:
-            stop += 1
-        merged_y.append(float(np.mean(y[start:stop])))
-        merged_v.append(float(np.mean(v[start:stop])))
-        start = stop
-    return np.asarray(merged_y), np.asarray(merged_v)
+    """Average each run of sorted ``y`` within MERGE_WINDOW of the run's first value.
+
+    Run starts come from one pass over the values.  A run of one sample is
+    that sample (plus 0.0, so -0.0 reads 0.0 as its ``np.mean`` does); a
+    longer run, rare in sampled data, is averaged by ``np.mean``, whose
+    pairwise sum ``np.add.reduceat`` does not reproduce for runs of three
+    or more.
+    """
+    starts, first = [], math.nan
+    for k, value in enumerate(y.tolist()):
+        if not value - first <= MERGE_WINDOW:  # a NaN starts a run, as the first value does
+            starts.append(k)
+            first = value
+    stops = starts[1:] + [len(y)]
+    merged_y, merged_v = y[starts] + 0.0, v[starts] + 0.0
+    for k, (start, stop) in enumerate(zip(starts, stops)):
+        if stop - start > 1:
+            merged_y[k], merged_v[k] = np.mean(y[start:stop]), np.mean(v[start:stop])
+    return merged_y, merged_v
 
 
 def _solve_samples(net: Network, reduced_graph: DirectedGraph, samples: np.ndarray):
@@ -499,6 +507,7 @@ class CurvePoint:
     current: float
     cocontent: float
     converged: bool
+    message: str = ""  # why the solve failed, as its SolveError says; empty when converged
 
 
 def effective_curve(net: Network, a: str, b: str, v_grid) -> list[CurvePoint]:
@@ -506,7 +515,8 @@ def effective_curve(net: Network, a: str, b: str, v_grid) -> list[CurvePoint]:
 
     Keeps only ``a`` and ``b`` as boundary (everything else is eliminated),
     sets the potential at ``a`` to V and at ``b`` to 0, and records the
-    nodal current at ``a``.  Failed solves are marked, not raised.
+    nodal current at ``a``.  Failed solves are marked with their
+    SolveError's message, not raised.
     """
     if a == b:
         raise ValueError("terminals must differ")
@@ -524,8 +534,8 @@ def effective_curve(net: Network, a: str, b: str, v_grid) -> list[CurvePoint]:
     for v in np.asarray(v_grid, dtype=float):
         try:
             res = solve_interior(two_terminal, np.array([v, 0.0]))
-        except SolveError:
-            points.append(CurvePoint(float(v), float("nan"), float("nan"), False))
+        except SolveError as exc:
+            points.append(CurvePoint(float(v), float("nan"), float("nan"), False, str(exc)))
             continue
         g = float("nan") if anchor is None else k_value(two_terminal, res.z_full) - anchor
         points.append(CurvePoint(float(v), float(res.j_b[0]), float(g), True))

@@ -1,4 +1,4 @@
-"""Interior elimination: damped Newton on the zero-current constraint.
+"""Interior elimination: chord and damped Newton steps on the zero-current constraint.
 
 Setting the nodal currents at the central nodes to zero determines the
 central potentials as a function z_C(z_B) of the boundary potentials.  The
@@ -6,10 +6,21 @@ interior Hessian block is positive definite on connected graphs with
 strictly monotone laws, so damped Newton with a residual-decrease line
 search converges from any feasible start inside the validity box.  The
 start is the interior of the linearized network: every edge weighted by its
-slope at 0, as in linear Kron reduction, with that network's sensitivity
-formed once per Network (``_start_map``).  It is exact on a network of
-lines and takes about half the Newton iterations of the mean boundary value
-on mildly nonlinear ones.
+slope w_0 at y_0 = 0, as in linear Kron reduction, with that network's
+sensitivity and the banded factor of its H_CC formed once per Network
+(``_linearization``).  It is exact on a network of lines and takes about
+half the Newton iterations of the mean boundary value on mildly nonlinear
+ones.
+
+Before any Newton step, chord (simplified-Newton) steps reuse that factor.
+H_CC(y) = sum_j g'_j(y_j) d_j d_j^T has the shape of H_CC(y_0), so a chord
+step contracts the residual by at most max_j |1 - g'_j(y_j) / w_0j|.  They
+run when H_CC is banded (kd >= 1: a diagonal one factors in n_c divisions,
+so reusing it saves nothing) and every slope at the start lies within
+CHORD_RATE of w_0; each must cut the largest interior current by
+CHORD_RATE and stay in the validity box, and the first that does not is
+discarded and Newton goes on from there.  On the 32 x 32 grid read row by
+row they replace every Newton step, so a reduced Hessian factors H_CC once.
 
 Eliminating the central block of the weighted Laplacian H = D diag(w) D^T
 gives the reduced Laplacian H_BB - H_BC H_CC^{-1} H_CB (the Kron reduction
@@ -58,6 +69,7 @@ DEFAULT_TOL = 1e-10  # interior-current tolerance, times the largest edge curren
 ROUNDING_TOL = 1024 * float(np.finfo(float).eps)  # its floor, per unit of that current
 DEFAULT_MAX_ITER = 100
 ARMIJO_C = 1e-4
+CHORD_RATE = 0.1  # slopes within this fraction of w_0, and the residual cut each chord step makes
 MIN_STEP = 2.0**-60
 HOMOGENEITY_PROBES = 20  # random points of the homogeneity test in min_heat_check
 HOMOGENEITY_RTOL = 1e-8
@@ -122,22 +134,29 @@ def _factor_central(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def solve_interior(net: Network, z_b) -> SolveResult:
     """Solve the zero interior-current constraint for z_C at fixed z_B.
 
-    Newton steps use the interior block of the weighted Laplacian; a
+    Iteration starts from z_mean + S_0 (z_B - z_mean), with z_mean the mean
+    boundary value and S_0 the sensitivity of the network linearized at
+    edge value y_0 (``_linearization``), or from z_mean when that start
+    leaves the validity box.  Chord steps z_C -= F_0^{-1} j_C on the
+    linearization's banded factor F_0 come first, when H_CC is banded and
+    every edge slope w at the start has |w - w_0| <= CHORD_RATE w_0, with
+    w_0 its slope at y_0; each must stay inside the box and cut the largest interior current
+    by CHORD_RATE, and the first that fails is discarded.  Newton steps on
+    the interior block of the weighted Laplacian then go on from the last
+    accepted iterate, reusing the slopes the chord test evaluated; a
     halving line search accepts a step once the interior residual norm has
     decreased sufficiently and all edge values stay inside their validity
-    intervals.  Iteration starts from z_mean + S_0 (z_B - z_mean), with
-    z_mean the mean boundary value and S_0 the sensitivity of the network
-    linearized at edge value 0 (``_start_map``), or from z_mean when that
-    start leaves the validity box.  It stops once the largest interior
-    current is at most max(DEFAULT_TOL min(1, s), ROUNDING_TOL s), where s
-    is the largest edge current |g_j(y_j)| at the iterate.  The test is
-    relative to the network's own current scale, so multiplying every law
-    by a constant leaves z_C the same.  It is never looser than DEFAULT_TOL
-    in absolute terms until rounding sets the floor, at currents above ~440
+    intervals.  ``iterations`` counts Newton steps only, one factorization
+    each.  Both phases stop once the largest interior current is at most
+    max(DEFAULT_TOL min(1, s), ROUNDING_TOL s), where s is the largest edge
+    current |g_j(y_j)| at the iterate.  The test is relative to the
+    network's own current scale, so multiplying every law by a constant
+    leaves z_C the same.  It is never looser than DEFAULT_TOL in absolute
+    terms until rounding sets the floor, at currents above ~440
     (ROUNDING_TOL = 1024 eps).  Raises SolveError after DEFAULT_MAX_ITER
-    iterations (suspected global solvability failure) or when steps cannot
-    stay inside the box.  Raises ValueError on a boundary value that is
-    not finite.
+    Newton iterations (suspected global solvability failure) or when steps
+    cannot stay inside the box.  Raises ValueError on a boundary value that
+    is not finite.
     """
     z_b = np.asarray(z_b, dtype=float)
     order = net._edge_list.order
@@ -154,8 +173,8 @@ def solve_interior(net: Network, z_b) -> SolveResult:
     # the linearized network's interior, applied to deviations from the
     # mean, so that a constant z_B starts exactly at that constant
     mean = z_b.sum() / n_b
-    start = _start_map(net)
-    z[central] = mean if start is None else mean + start @ (z_b - mean)
+    linear = _linearization(net)
+    z[central] = mean if linear.start is None else mean + linear.start @ (z_b - mean)
 
     def currents(yv):  # nodal currents, and the stopping tolerance at their scale
         g = _g_vec(net, yv)
@@ -180,10 +199,28 @@ def solve_interior(net: Network, z_b) -> SolveResult:
     res_norm = float(np.abs(j[central]).max(initial=0.0))
     iterations = 0
     converged = res_norm <= tol
+    w = None  # edge slopes at the iterate, once evaluated
+
+    if not converged and linear.factor is not None:
+        w = _gp_vec(net, y)
+        # compared without dividing by w_0, so a zero slope raises no warning
+        if (np.abs(w - linear.slopes) <= CHORD_RATE * linear.slopes).all():
+            while not converged:
+                trial = z.copy()
+                trial[central] -= cho_solve(linear.factor, j[central])
+                y_trial = _edge_values(net, trial)
+                if _first_violation(net, y_trial) >= 0:
+                    break
+                j_trial, tol_trial = currents(y_trial)
+                trial_norm = float(np.abs(j_trial[central]).max())
+                if not trial_norm <= CHORD_RATE * res_norm:
+                    break
+                z, y, j, res_norm, tol, w = trial, y_trial, j_trial, trial_norm, tol_trial, None
+                converged = res_norm <= tol
 
     while not converged and iterations < DEFAULT_MAX_ITER:
         try:
-            factor = _factor_central(net, _gp_vec(net, y))[1]
+            factor = _factor_central(net, _gp_vec(net, y) if w is None else w)[1]
         except SolveError as exc:
             exc.result = partial()
             raise
@@ -211,7 +248,7 @@ def solve_interior(net: Network, z_b) -> SolveResult:
                         edge=edge_label(net, last_bad),
                     )
                 raise SolveError("line search failed to reduce the residual", result=partial())
-        z, y, j, res_norm, tol = trial, y_trial, j_trial, trial_norm, tol_trial
+        z, y, j, res_norm, tol, w = trial, y_trial, j_trial, trial_norm, tol_trial, None
         iterations += 1
         converged = res_norm <= tol
 
@@ -224,54 +261,75 @@ def solve_interior(net: Network, z_b) -> SolveResult:
     return SolveResult(z[central], j[boundary], iterations, res_norm, True, z)
 
 
-def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _schur(net: Network, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Reduced Laplacian and sensitivity of the network weighted by edge weights w.
 
     Returns (H_BB - H_BC H_CC^{-1} H_CB, -H_CC^{-1} H_CB) in partition order
     from the banded Cholesky factor of H_CC (``_factor_central``, as a
-    Newton step does) and the boundary rows, with H_CB = H_BC^T.  Raises
-    SolveError when a weight is not finite, even one that enters only H_BB,
-    or when H_CC is not positive definite.
+    Newton step does) and the boundary rows, with H_CB = H_BC^T, and that
+    factor, or None when there is no central node.  Raises SolveError when
+    a weight is not finite, even one that enters only H_BB, or when H_CC is
+    not positive definite.
     """
     _require_finite(net, w)
     n_b = len(net.partition.boundary)
     if n_b == net.graph.n:
-        return _packed_laplacian(net, w)[1], np.zeros((0, n_b))
+        return _packed_laplacian(net, w)[1], np.zeros((0, n_b)), None
     rows, factor = _factor_central(net, w)
     h_bc = rows[:, n_b:]
     x = cho_solve(factor, h_bc.T)
-    return rows[:, :n_b] - h_bc @ x, -x
+    return rows[:, :n_b] - h_bc @ x, -x, factor
 
 
-def _start_map(net: Network) -> np.ndarray | None:
-    """Sensitivity S_0 of the network linearized at y_0, formed once per Network.
+@dataclass(frozen=True)
+class _Linearization:
+    """The network linearized at y_0, as ``solve_interior`` starts from it.
+
+    ``start`` is its sensitivity S_0, or None for the mean boundary value;
+    ``factor`` the banded Cholesky factor of its H_CC when that is banded
+    (kd >= 1), else None, and then no chord step is taken; ``slopes`` its
+    edge slopes w_0 = g'(y_0).
+    """
+
+    start: np.ndarray | None
+    factor: np.ndarray | None
+    slopes: np.ndarray
+
+
+def _linearization(net: Network) -> _Linearization:
+    """The network linearized at y_0, from one ``_schur``, formed once per Network.
 
     y_0 is 0 on each edge whose validity interval holds 0, else that
     interval's midpoint; S_0 = -H_CC(y_0)^{-1} H_CB(y_0) is the linear Kron
-    reduction's map from z_B to the interior.  None stands for the uniform
-    average, whose start is the mean boundary value: when every entry of
-    S_0 is 1/n_B to within ROUNDING_TOL (a symmetric network, or no central
-    node), and when ``_schur`` raises at y_0 (a slope that is not finite,
-    or H_CC not positive definite).  Kept in the Network's ``__dict__``, as
-    ``functools.cached_property`` keeps its values on the frozen dataclass.
+    reduction's map from z_B to the interior.  The start is None, the
+    uniform average whose start is the mean boundary value, when every
+    entry of S_0 is 1/n_B to within ROUNDING_TOL (a symmetric network, or
+    no central node).  Start and factor are None when ``_schur`` raises at
+    y_0 (a slope that is not finite, or H_CC not positive definite).  Kept
+    in the Network's ``__dict__``, as ``functools.cached_property`` keeps
+    its values on the frozen dataclass.
     """
     cache = vars(net)
-    if "_start_map" not in cache:
+    if "_linearization" not in cache:
         index = net._law_index
         y0 = np.where((index.lo <= 0.0) & (0.0 <= index.hi), 0.0, 0.5 * (index.lo + index.hi))
+        w0 = _gp_vec(net, y0)
         try:
-            s0 = _schur(net, _gp_vec(net, y0))[1]
+            _, s0, factor = _schur(net, w0)
         except SolveError:
-            s0 = None
+            s0 = factor = None
         else:
             uniform = 1.0 / len(net.partition.boundary)
             if np.abs(s0 - uniform).max(initial=0.0) <= ROUNDING_TOL:
                 s0 = None
-        cache["_start_map"] = s0
-    return cache["_start_map"]
+            if net._edge_list.kd == 0:
+                factor = None
+        cache["_linearization"] = _Linearization(s0, factor, w0)
+    return cache["_linearization"]
 
 
-def _schur_at(net: Network, result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
+def _schur_at(net: Network,
+              result: SolveResult) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``_schur`` of the network weighted by its edge slopes at a solved point."""
     return _schur(net, _gp_vec(net, _edge_values(net, result.z_full)))
 

@@ -501,6 +501,25 @@ def test_curve_same_orientation_pair_reversed(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(math.e - 1.0, abs=1e-8)
 
 
+def test_curve_names_its_first_failure(tmp_path, capsys):
+    # a reduced table is defined on its sampled range only, so V = 3.5 leaves it
+    out = tmp_path / "same.json"
+    assert main(["reduce", str(NETWORKS_DIR / "diode_same.json"), "--samples", "64",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["curve", str(out), "--pair", "1,2", "--vmin", "0", "--vmax", "3.5",
+                 "--points", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out.strip().splitlines()[-1] == "3.5,failed,failed"
+    assert main(["solve", str(out), "1=3.5", "2=0"]) == 3
+    reason = capsys.readouterr().err.strip()
+    assert reason == ("solver failure: boundary assignment leaves the validity interval "
+                      "(edge 0 (1->2))")
+    assert captured.err.splitlines() == ["1 of 3 solves failed",
+                                         f"first failure at V = 3.5: {reason}"]
+
+
 def test_power_balance_report(tmp_path, capsys):
     src = write(tmp_path, "net.json", DIODE)
     code = main(["power", src, "0=0", "1=1", "2=0"])

@@ -621,6 +621,32 @@ def test_pooling_rejects_nonmonotone_currents():
         _pool_edge_samples(ys, cs, "edge test")
 
 
+def _merge_runs_by_slices(y, v):
+    """Reference merge: grow each run from its first value, then ``np.mean`` its slice."""
+    merged = []
+    start = 0
+    while start < len(y):
+        stop = start + 1
+        while stop < len(y) and y[stop] - y[start] <= reduction.MERGE_WINDOW:
+            stop += 1
+        merged.append((np.mean(y[start:stop]), np.mean(v[start:stop])))
+        start = stop
+    return tuple(np.array([pair[k] for pair in merged], dtype=float) for k in (0, 1))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from([1e-9, 1e-7, 1e-5]))
+def test_merge_runs_matches_run_by_run_means(seed, n, spread):
+    # samples spread over a few merge windows, so runs of every length
+    # occur; -0.0 and NaN take the paths a sampled edge value could
+    rng = np.random.default_rng(seed)
+    y = np.sort(np.concatenate([rng.uniform(-spread, spread, n), [-0.0, 0.0][: n % 3]]))
+    if n % 5 == 4:
+        y[int(rng.integers(0, len(y)))] = math.nan
+    v = rng.normal(size=len(y))
+    for got, want in zip(reduction._merge_runs(y, v), _merge_runs_by_slices(y, v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_acyclic_recovery_requires_forest(triangle_center):
     graph, _ = kr.infer_reduced_graph(triangle_center, SamplingPlan(count=4, seed=1))
     with pytest.raises(AssumptionError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import kronred as kr
+from kronred import solver
 from kronred._lapack import dpbtrf
 from kronred.errors import HomogeneityError, SolveError
 from kronred.netfile import load_network
@@ -134,14 +135,63 @@ def test_start_outside_validity_falls_back_to_the_mean():
 
 def test_grid_solve_iteration_count():
     # seeded counter gate: from the mean of z_B these solves take 2.99 Newton
-    # iterations each; from the linearized network's interior, 200 draws
-    # average 1.46-1.55 across seeds (40 draws spread 1.35-1.68, too close
-    # to the bound)
+    # iterations each, and 1.46-1.55 from the linearized network's interior
+    # across seeds; chord steps on the linearization's factor now finish
+    # every one of them, so the mean reads 0
     net = grid_network(32, "y + 0.1*sinh(y)")
     rng = np.random.default_rng(0)
     iterations = [kr.solve_interior(net, rng.uniform(-1.0, 1.0, 4)).iterations
                   for _ in range(200)]
-    assert np.mean(iterations) <= 1.6
+    assert np.mean(iterations) <= 0.1
+
+
+def test_grid_reduced_hessian_factors_once(monkeypatch):
+    # after the first call has factored the linearization, a reduced
+    # Hessian factors H_CC once: for its Schur complement, not for Newton
+    calls = []
+    factor = solver.cho_factor
+
+    def counting_factor(*args):
+        calls.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(solver, "cho_factor", counting_factor)
+    net = grid_network(32, "y + 0.1*sinh(y)")
+    rng = np.random.default_rng(0)
+    kr.reduced_hessian(net, rng.uniform(-1.0, 1.0, 4))
+    assert len(calls) == 2
+    for _ in range(20):
+        calls.clear()
+        kr.reduced_hessian(net, rng.uniform(-1.0, 1.0, 4))
+        assert len(calls) == 1
+
+
+def _newton_only(fn, *args):
+    """``fn(*args)`` with CHORD_RATE 0, which refuses every chord step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "CHORD_RATE", 0.0)
+        return fn(*args)
+
+
+def _assert_chord_matches_newton(net, z_b):
+    res, oracle = kr.solve_interior(net, z_b), _newton_only(kr.solve_interior, net, z_b)
+    assert np.abs(res.z_c - oracle.z_c).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(z_b).max())
+    h, want = kr.reduced_hessian(net, z_b), _newton_only(kr.reduced_hessian, net, z_b)
+    assert np.abs(h - want).max() <= 1e-8 * np.abs(want).max()
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_chord_steps_match_newton_on_random_networks(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    _assert_chord_matches_newton(net, rng.uniform(-1.5, 1.5, len(net.partition.boundary)))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16]),
+       st.sampled_from(["y + 0.1*sinh(y)", "exp(y) - 1"]))
+def test_chord_steps_match_newton_on_grids(seed, k, law):
+    _assert_chord_matches_newton(grid_network(k, law),
+                                 np.random.default_rng(seed).uniform(-1.0, 1.0, 4))
 
 
 @pytest.mark.parametrize("z_b", [[math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf]],
@@ -238,7 +288,7 @@ def test_banded_elimination_matches_dense_oracle(seed, n_c, parts):
     w = rng.uniform(0.1, 3.0, net.graph.m)
     h_bb, h_cb, h_cc = _dense_blocks(net, w)
     x = -np.linalg.solve(h_cc, h_cb) if n_c else np.zeros((0, len(h_bb)))
-    reduced, sens = _schur(net, w)
+    reduced, sens, _ = _schur(net, w)
     scale = max(np.abs(h_bb).max(), np.abs(h_cc).max(initial=0.0))
     assert np.abs(reduced - (h_bb + h_cb.T @ x)).max() <= 1e-12 * scale
     assert sens.shape == x.shape
@@ -268,7 +318,7 @@ def test_band_with_gaps_matches_dense_oracle():
     h_bb, h_cb, h_cc = _dense_blocks(net, w)
     assert h_cc[0, 1] == h_cc[1, 2] == 0.0
     x = -np.linalg.solve(h_cc, h_cb)
-    reduced, sens = _schur(net, w)
+    reduced, sens, _ = _schur(net, w)
     np.testing.assert_allclose(sens, x, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(reduced, h_bb + h_cb.T @ x, rtol=0.0, atol=1e-14)
 
